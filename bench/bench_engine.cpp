@@ -1,19 +1,15 @@
 // P1 — google-benchmark suite for the simulation engine itself: raw walk
-// stepping throughput per family, the seed per-call cover path vs the
-// batched WalkEngine hot path (steps/second), k-walk round cost, and
-// Monte-Carlo thread scaling. These numbers justify the experiment
-// harness's feasible scales (steps/second on a laptop).
+// stepping throughput per family, batched WalkEngine cover trials
+// (steps/second), k-walk round cost, and Monte-Carlo thread scaling. These
+// numbers justify the experiment harness's feasible scales (steps/second
+// on a laptop).
 //
 // The binary has its own main: before running benchmarks it
-//   1. verifies that the batched engine samples the SAME cover-time
-//      distribution, trial by trial, as the seed per-call path under
-//      make_trial_rng streams (legacy mode's bit contract);
-//   2. measures lane-vs-legacy steps/s per family x k and writes the
-//      machine-readable BENCH_4.json perf artifact (--bench4_out=PATH,
-//      schema "manywalks-bench4-v1", documented in docs/ARCHITECTURE.md);
-//      with --lane_guard it exits nonzero if lane mode regresses below
-//      legacy on any family (the CI perf-smoke anti-regression gate);
-//   3. measures the observability layer's cost (BENCH_obs.json, schema
+//   1. measures strong scaling of one sharded cover run (BENCH_scale.json,
+//      schema "manywalks-scale-v1"): the round counts must be identical at
+//      every thread count, and with --scale_guard it exits nonzero if the
+//      4-thread run is below 1.6x the 1-thread steps/s;
+//   2. measures the observability layer's cost (BENCH_obs.json, schema
 //      "manywalks-obs-v1"): lane steps/s with a MetricsRegistry installed
 //      vs observability off, counting contract checked exactly; with
 //      --obs_guard it exits nonzero if metrics-on drops below 97% of
@@ -39,54 +35,11 @@
 #include "mc/estimators.hpp"
 #include "walk/cover.hpp"
 #include "walk/engine.hpp"
-#include "walk/visit_tracker.hpp"
 #include "walk/walker.hpp"
 
 namespace {
 
 using namespace manywalks;
-
-// ---------------------------------------------------------------------------
-// Reference: the seed's per-call cover loop (pre-WalkEngine), kept verbatim
-// as the baseline side of the steps/second comparison.
-// ---------------------------------------------------------------------------
-CoverSample seed_path_cover(const Graph& g, std::span<const Vertex> starts,
-                            Vertex target, Rng& rng,
-                            const CoverOptions& options = {}) {
-  thread_local VisitTracker tracker(0);
-  if (tracker.num_vertices() != g.num_vertices()) {
-    tracker = VisitTracker(g.num_vertices());
-  } else {
-    tracker.reset();
-  }
-
-  std::vector<Vertex> tokens(starts.begin(), starts.end());
-  for (Vertex s : tokens) tracker.visit(s);
-  CoverSample sample;
-  if (tracker.num_visited() >= target) {
-    sample.covered = true;
-    return sample;
-  }
-
-  const bool lazy = options.laziness > 0.0;
-  std::uint64_t t = 0;
-  while (t < options.step_cap) {
-    ++t;
-    for (Vertex& token : tokens) {
-      token = lazy ? step_walk_lazy(g, token, rng, options.laziness)
-                   : step_walk(g, token, rng);
-      tracker.visit(token);
-    }
-    if (tracker.num_visited() >= target) {
-      sample.steps = t;
-      sample.covered = true;
-      return sample;
-    }
-  }
-  sample.steps = options.step_cap;
-  sample.covered = false;
-  return sample;
-}
 
 void BM_StepThroughput(benchmark::State& state, const Graph& g) {
   Rng rng(1);
@@ -132,9 +85,8 @@ BENCHMARK(BM_StepMargulis);
 BENCHMARK(BM_StepComplete);
 
 // ---------------------------------------------------------------------------
-// Seed per-call path vs batched WalkEngine, k-token partial-cover trials on
-// the three headline instances. items/second == token-steps/second, so the
-// two sides are directly comparable.
+// Batched WalkEngine, k-token partial-cover trials on the three headline
+// instances. items/second == token-steps/second.
 // ---------------------------------------------------------------------------
 constexpr unsigned kTokens = 16;
 
@@ -146,7 +98,7 @@ const Graph& cover_cycle_graph() {
   return g;
 }
 
-void BM_CoverPath(benchmark::State& state, const Graph& g, bool batched) {
+void BM_CoverPath(benchmark::State& state, const Graph& g) {
   const std::vector<Vertex> starts(kTokens, 0);
   // 90% coverage keeps per-trial work bounded (the last few vertices
   // dominate full cover times) while still exercising the real workload.
@@ -156,31 +108,20 @@ void BM_CoverPath(benchmark::State& state, const Graph& g, bool batched) {
   WalkEngine engine(g);
   std::uint64_t token_steps = 0;
   for (auto _ : state) {
-    CoverSample sample;
-    if (batched) {
-      engine.reset(starts);
-      sample = engine.run_until_visited(target, rng);
-    } else {
-      sample = seed_path_cover(g, starts, target, rng);
-    }
+    engine.reset(starts);
+    const CoverSample sample = engine.run_until_visited(target, rng);
     benchmark::DoNotOptimize(sample.steps);
     token_steps += sample.steps * kTokens;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(token_steps));
 }
 
-void BM_SeedPathCycle(benchmark::State& state) { BM_CoverPath(state, cover_cycle_graph(), false); }
-void BM_EngineCycle(benchmark::State& state) { BM_CoverPath(state, cover_cycle_graph(), true); }
-void BM_SeedPathGrid2d(benchmark::State& state) { BM_CoverPath(state, grid_graph(), false); }
-void BM_EngineGrid2d(benchmark::State& state) { BM_CoverPath(state, grid_graph(), true); }
-void BM_SeedPathExpander(benchmark::State& state) { BM_CoverPath(state, margulis_graph(), false); }
-void BM_EngineExpander(benchmark::State& state) { BM_CoverPath(state, margulis_graph(), true); }
+void BM_EngineCycle(benchmark::State& state) { BM_CoverPath(state, cover_cycle_graph()); }
+void BM_EngineGrid2d(benchmark::State& state) { BM_CoverPath(state, grid_graph()); }
+void BM_EngineExpander(benchmark::State& state) { BM_CoverPath(state, margulis_graph()); }
 
-BENCHMARK(BM_SeedPathCycle);
 BENCHMARK(BM_EngineCycle);
-BENCHMARK(BM_SeedPathGrid2d);
 BENCHMARK(BM_EngineGrid2d);
-BENCHMARK(BM_SeedPathExpander);
 BENCHMARK(BM_EngineExpander);
 
 /// Cost of one k-walk round (k token steps + visit tracking) vs k.
@@ -233,300 +174,17 @@ void BM_McThreadScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_McThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// ---------------------------------------------------------------------------
-// Pre-benchmark check: both paths must sample identical cover-time
-// distributions under the deterministic make_trial_rng(seed, trial) streams.
-// ---------------------------------------------------------------------------
-bool verify_identical_samples() {
-  struct Instance {
-    const char* name;
-    const Graph& g;
-  };
-  const Graph cycle = make_cycle(256);
-  const Graph grid = make_grid_2d(16);
-  const Instance instances[] = {
-      {"cycle", cycle},
-      {"grid2d", grid},
-      {"expander", margulis_graph()},
-  };
-  constexpr std::uint64_t kSeed = 0xbe7c4ULL;
-  constexpr std::uint64_t kTrials = 32;
-  bool ok = true;
-  for (const auto& [name, g] : instances) {
-    for (unsigned k : {1u, 8u}) {
-      const std::vector<Vertex> starts(k, 0);
-      WalkEngine engine(g);
-      for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
-        Rng seed_rng = make_trial_rng(kSeed, trial);
-        Rng engine_rng = make_trial_rng(kSeed, trial);
-        const CoverSample a =
-            seed_path_cover(g, starts, g.num_vertices(), seed_rng);
-        engine.reset(starts);
-        const CoverSample b =
-            engine.run_until_visited(g.num_vertices(), engine_rng);
-        if (a.steps != b.steps || a.covered != b.covered ||
-            seed_rng.state() != engine_rng.state()) {
-          std::fprintf(stderr,
-                       "MISMATCH %s k=%u trial=%llu: seed-path %llu vs "
-                       "engine %llu\n",
-                       name, k, static_cast<unsigned long long>(trial),
-                       static_cast<unsigned long long>(a.steps),
-                       static_cast<unsigned long long>(b.steps));
-          ok = false;
-        }
-      }
-    }
-  }
-  if (ok) {
-    std::printf(
-        "verified: seed-path and WalkEngine cover-time samples identical "
-        "(3 instances x k in {1,8} x %llu trials)\n",
-        static_cast<unsigned long long>(kTrials));
-  }
-  return ok;
-}
-
-// ---------------------------------------------------------------------------
-// Paired steps/second comparison: alternates seed-path and engine trials so
-// machine-load drift hits both sides equally, and feeds both sides the same
-// per-trial RNG streams so they do byte-identical walk work.
-// ---------------------------------------------------------------------------
-void report_paired_throughput() {
-  struct Instance {
-    const char* name;
-    const Graph& g;
-  };
-  const Instance instances[] = {
-      {"cycle", cover_cycle_graph()},
-      {"grid2d", grid_graph()},
-      {"expander", margulis_graph()},
-  };
-  constexpr std::uint64_t kSeed = 0x9a17edULL;
-  constexpr std::uint64_t kTrials = 24;
-
-  std::printf("\npaired cover-trial throughput, k=%u tokens, 90%% coverage "
-              "(%llu alternating trials per path):\n",
-              kTokens, static_cast<unsigned long long>(kTrials));
-  std::printf("%-10s %18s %18s %8s\n", "instance", "seed-path steps/s",
-              "engine steps/s", "ratio");
-  for (const auto& [name, g] : instances) {
-    const std::vector<Vertex> starts(kTokens, 0);
-    const auto target =
-        static_cast<Vertex>(static_cast<double>(g.num_vertices()) * 0.9);
-    WalkEngine engine(g);
-    // Warm both paths (page in the scratch arrays) outside the timing.
-    {
-      Rng warm(kSeed);
-      seed_path_cover(g, starts, target, warm);
-      Rng warm2(kSeed);
-      engine.reset(starts);
-      engine.run_until_visited(target, warm2);
-    }
-    std::uint64_t seed_steps = 0, engine_steps = 0;
-    double seed_ns = 0.0, engine_ns = 0.0;
-    using clock = std::chrono::steady_clock;
-    for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
-      Rng a = make_trial_rng(kSeed, trial);
-      const auto t0 = clock::now();
-      const CoverSample sa = seed_path_cover(g, starts, target, a);
-      const auto t1 = clock::now();
-      Rng b = make_trial_rng(kSeed, trial);
-      engine.reset(starts);
-      const CoverSample sb = engine.run_until_visited(target, b);
-      const auto t2 = clock::now();
-      seed_steps += sa.steps * kTokens;
-      engine_steps += sb.steps * kTokens;
-      seed_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
-      engine_ns += std::chrono::duration<double, std::nano>(t2 - t1).count();
-    }
-    const double seed_rate = static_cast<double>(seed_steps) / seed_ns * 1e9;
-    const double engine_rate =
-        static_cast<double>(engine_steps) / engine_ns * 1e9;
-    std::printf("%-10s %17.1fM %17.1fM %7.2fx\n", name, seed_rate / 1e6,
-                engine_rate / 1e6, engine_rate / seed_rate);
-  }
-  std::printf("\n");
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_4: lane-vs-legacy steps/s per family x k, alternating interleaved
-// reps so machine-load drift hits both modes equally. Emitted as the
-// machine-readable BENCH_4.json artifact ("manywalks-bench4-v1"); the
-// optional guard is the CI anti-regression gate for the lane kernel.
-// ---------------------------------------------------------------------------
-
-struct Bench4Row {
-  std::string family;
-  std::string substrate;  // "csr" or "implicit"
-  std::uint64_t n = 0;
-  unsigned k = 0;
-  double legacy_steps_per_s = 0.0;
-  double lane_steps_per_s = 0.0;
-  double ratio = 0.0;
-};
-
 /// One timed run_for_steps burst; returns seconds.
 template <class Engine>
 double timed_rounds(Engine& engine, std::span<const Vertex> starts,
-                    std::uint64_t rounds, RngMode mode, std::uint64_t seed) {
+                    std::uint64_t rounds, std::uint64_t seed) {
   using clock = std::chrono::steady_clock;
   engine.reset(starts);
   Rng rng(seed);
   const auto t0 = clock::now();
-  engine.run_for_steps(rounds, rng, 0.0, nullptr, mode);
+  engine.run_for_steps(rounds, rng);
   const auto t1 = clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Measures both modes with kReps alternating bursts of `rounds` rounds.
-template <class Engine>
-Bench4Row measure_lane_vs_legacy(const char* family, const char* substrate,
-                                 std::uint64_t n, Engine& engine, unsigned k,
-                                 std::uint64_t steps_budget) {
-  const std::vector<Vertex> starts(k, 0);
-  const std::uint64_t rounds = std::max<std::uint64_t>(steps_budget / k, 64);
-  constexpr int kReps = 4;
-  // Warm-up bursts page in the CSR/tracker scratch and size the token and
-  // lane vectors. (Each timed rep still pays its own reset() + lane
-  // derivation — that IS part of the per-trial workload; at <= 256 lanes
-  // vs millions of steps it is noise either way.)
-  timed_rounds(engine, starts, std::max<std::uint64_t>(rounds / 8, 1),
-               RngMode::kSharedLegacy, 1);
-  timed_rounds(engine, starts, std::max<std::uint64_t>(rounds / 8, 1),
-               RngMode::kLane, 1);
-  double legacy_s = 0.0;
-  double lane_s = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    legacy_s += timed_rounds(engine, starts, rounds, RngMode::kSharedLegacy,
-                             100 + static_cast<std::uint64_t>(rep));
-    lane_s += timed_rounds(engine, starts, rounds, RngMode::kLane,
-                           100 + static_cast<std::uint64_t>(rep));
-  }
-  const double steps =
-      static_cast<double>(rounds) * k * static_cast<double>(kReps);
-  Bench4Row row;
-  row.family = family;
-  row.substrate = substrate;
-  row.n = n;
-  row.k = k;
-  row.legacy_steps_per_s = steps / legacy_s;
-  row.lane_steps_per_s = steps / lane_s;
-  row.ratio = row.lane_steps_per_s / row.legacy_steps_per_s;
-  return row;
-}
-
-std::vector<Bench4Row> run_bench4() {
-  std::vector<Bench4Row> rows;
-  const unsigned ks[] = {1, 8, 64, 256};
-  std::printf("lane vs legacy token-steps/s (run_for_steps, simple walk):\n");
-  std::printf("%-19s %4s %15s %15s %7s\n", "family", "k", "legacy", "lane",
-              "ratio");
-  auto push = [&rows](Bench4Row row) {
-    std::printf("%-19s %4u %14.1fM %14.1fM %6.2fx\n", row.family.c_str(),
-                row.k, row.legacy_steps_per_s / 1e6,
-                row.lane_steps_per_s / 1e6, row.ratio);
-    rows.push_back(std::move(row));
-  };
-  {
-    // The acceptance instance: a 10^6-vertex 8-regular expander whose CSR
-    // arrays dwarf L2 — the workload the prefetch pipeline exists for.
-    const Graph g = make_margulis_expander(1024);  // n = 2^20
-    WalkEngine engine(g);
-    for (unsigned k : ks) {
-      push(measure_lane_vs_legacy("csr-expander", "csr", g.num_vertices(),
-                                  engine, k, 3'000'000));
-    }
-  }
-  {
-    const Graph g = make_cycle(1u << 20);
-    WalkEngine engine(g);
-    for (unsigned k : ks) {
-      push(measure_lane_vs_legacy("csr-cycle", "csr", g.num_vertices(),
-                                  engine, k, 6'000'000));
-    }
-  }
-  {
-    WalkEngineT<CycleSubstrate> engine{CycleSubstrate(1u << 20)};
-    for (unsigned k : ks) {
-      push(measure_lane_vs_legacy("implicit-cycle", "implicit", 1u << 20,
-                                  engine, k, 12'000'000));
-    }
-  }
-  {
-    WalkEngineT<TorusSubstrate> engine{TorusSubstrate(1024)};
-    for (unsigned k : ks) {
-      push(measure_lane_vs_legacy("implicit-torus", "implicit", 1u << 20,
-                                  engine, k, 12'000'000));
-    }
-  }
-  {
-    WalkEngineT<HypercubeSubstrate> engine{HypercubeSubstrate(20)};
-    for (unsigned k : ks) {
-      push(measure_lane_vs_legacy("implicit-hypercube", "implicit", 1u << 20,
-                                  engine, k, 12'000'000));
-    }
-  }
-  {
-    WalkEngineT<CompleteSubstrate> engine{CompleteSubstrate(4096)};
-    for (unsigned k : ks) {
-      push(measure_lane_vs_legacy("implicit-complete", "implicit", 4096,
-                                  engine, k, 12'000'000));
-    }
-  }
-  std::printf("\n");
-  return rows;
-}
-
-void write_bench4_json(const std::vector<Bench4Row>& rows,
-                       const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"schema\": \"manywalks-bench4-v1\",\n"
-      << "  \"metric\": \"token-steps per second, run_for_steps, simple "
-         "walk\",\n"
-      << "  \"modes\": [\"shared_legacy\", \"lane\"],\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Bench4Row& r = rows[i];
-    out << "    {\"family\": \"" << r.family << "\", \"substrate\": \""
-        << r.substrate << "\", \"n\": " << r.n << ", \"k\": " << r.k
-        << ", \"legacy_steps_per_s\": " << static_cast<std::uint64_t>(r.legacy_steps_per_s)
-        << ", \"lane_steps_per_s\": " << static_cast<std::uint64_t>(r.lane_steps_per_s)
-        << ", \"ratio\": " << r.ratio << "}" << (i + 1 < rows.size() ? "," : "")
-        << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu rows)\n\n", path.c_str(), rows.size());
-}
-
-/// CI gate on the BEST k >= 8 ratio per family (deliberately best-of-k,
-/// not every-k: single rows on a noisy shared runner can dip on load
-/// spikes, but a kernel regression drags every k down together): 1.0 for
-/// each family, 1.5 for the headline csr-expander instance.
-bool lane_guard_passes(const std::vector<Bench4Row>& rows) {
-  bool ok = true;
-  std::vector<std::string> families;
-  for (const Bench4Row& row : rows) {
-    if (std::find(families.begin(), families.end(), row.family) ==
-        families.end()) {
-      families.push_back(row.family);
-    }
-  }
-  for (const std::string& family : families) {
-    double best = 0.0;
-    for (const Bench4Row& row : rows) {
-      if (row.family == family && row.k >= 8) best = std::max(best, row.ratio);
-    }
-    const double floor = family == "csr-expander" ? 1.5 : 1.0;
-    const bool pass = best >= floor;
-    std::printf("lane_guard %-19s best k>=8 ratio %.2fx (floor %.1fx) %s\n",
-                family.c_str(), best, floor, pass ? "OK" : "FAIL");
-    ok = ok && pass;
-  }
-  std::printf("\n");
-  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +227,6 @@ std::vector<ScaleRow> run_scale() {
     row.threads = threads;
     std::unique_ptr<ThreadPool> pool;
     CoverOptions opt;
-    opt.rng_mode = RngMode::kLane;
     if (threads > 1) {
       pool = std::make_unique<ThreadPool>(threads - 1);
       row.lane_shards = 16;
@@ -654,8 +311,7 @@ bool scale_results_pass(const std::vector<ScaleRow>& rows, bool guard) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_obs: cost of the observability layer (ISSUE 10). Lane-mode
-// run_for_steps bursts alternate between observer OFF (the null-pointer
+// BENCH_obs: cost of the observability layer. run_for_steps bursts alternate between observer OFF (the null-pointer
 // fast path) and observer ON with a live MetricsRegistry — the exact
 // configuration `--metrics` installs. The counting contract is checked
 // unconditionally (the registry must reproduce the burst's step count
@@ -690,19 +346,19 @@ ObsRow measure_obs_overhead(const char* family, const char* substrate,
   obs::RunObserver on{&registry, nullptr, nullptr};
   // Warm both sides (pages scratch, seeds lanes, registers this thread's
   // counter scratch) outside the timing.
-  timed_rounds(engine, starts, warm_rounds, RngMode::kLane, 1);
+  timed_rounds(engine, starts, warm_rounds, 1);
   {
     obs::ScopedObserver scoped(&on);
-    timed_rounds(engine, starts, warm_rounds, RngMode::kLane, 1);
+    timed_rounds(engine, starts, warm_rounds, 1);
   }
   expected_on_steps += warm_rounds * k;
   double off_s = 0.0;
   double on_s = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
     const std::uint64_t seed = 500 + static_cast<std::uint64_t>(rep);
-    off_s += timed_rounds(engine, starts, rounds, RngMode::kLane, seed);
+    off_s += timed_rounds(engine, starts, rounds, seed);
     obs::ScopedObserver scoped(&on);
-    on_s += timed_rounds(engine, starts, rounds, RngMode::kLane, seed);
+    on_s += timed_rounds(engine, starts, rounds, seed);
   }
   expected_on_steps += rounds * k * kReps;
   const double steps =
@@ -781,8 +437,9 @@ void write_obs_json(const std::vector<ObsRow>& rows, const std::string& path) {
 /// the registry installed, so after a drain the registry's walk.steps must
 /// equal the steps the bursts actually executed — a miscount is a
 /// correctness bug in the scratch/drain pipeline, not a perf matter. The
-/// guard gates the BEST k ratio per family (same best-of-k rationale as
-/// lane_guard: load spikes dent single rows, a real regression dents all).
+/// guard gates the BEST k ratio per family (best-of-k, not every-k: load
+/// spikes on a noisy shared runner dent single rows, a real regression
+/// dents all).
 bool obs_results_pass(const std::vector<ObsRow>& rows,
                       obs::MetricsRegistry& registry,
                       std::uint64_t expected_on_steps, bool guard) {
@@ -828,23 +485,17 @@ bool obs_results_pass(const std::vector<ObsRow>& rows,
 
 int main(int argc, char** argv) {
   // Strip our flags before google-benchmark sees the command line.
-  std::string bench4_out = "BENCH_4.json";
   std::string scale_out = "BENCH_scale.json";
   std::string obs_out = "BENCH_obs.json";
-  bool lane_guard = false;
   bool scale_guard = false;
   bool obs_guard = false;
   int out_argc = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--bench4_out=", 13) == 0) {
-      bench4_out = arg + 13;
-    } else if (std::strncmp(arg, "--scale_out=", 12) == 0) {
+    if (std::strncmp(arg, "--scale_out=", 12) == 0) {
       scale_out = arg + 12;
     } else if (std::strncmp(arg, "--obs_out=", 10) == 0) {
       obs_out = arg + 10;
-    } else if (std::strcmp(arg, "--lane_guard") == 0) {
-      lane_guard = true;
     } else if (std::strcmp(arg, "--scale_guard") == 0) {
       scale_guard = true;
     } else if (std::strcmp(arg, "--obs_guard") == 0) {
@@ -855,11 +506,6 @@ int main(int argc, char** argv) {
   }
   argc = out_argc;
 
-  if (!verify_identical_samples()) return EXIT_FAILURE;
-  report_paired_throughput();
-  const std::vector<Bench4Row> bench4 = run_bench4();
-  write_bench4_json(bench4, bench4_out);
-  if (lane_guard && !lane_guard_passes(bench4)) return EXIT_FAILURE;
   const std::vector<ScaleRow> scale = run_scale();
   write_scale_json(scale, scale_out);
   if (!scale_results_pass(scale, scale_guard)) return EXIT_FAILURE;

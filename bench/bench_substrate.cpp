@@ -30,13 +30,12 @@ constexpr unsigned kWalkTokens = 16;
 constexpr std::uint64_t kWalkRounds = 4096;
 
 template <class Engine>
-void run_walk_rounds(benchmark::State& state, Engine& engine,
-                     RngMode mode = RngMode::kSharedLegacy) {
+void run_walk_rounds(benchmark::State& state, Engine& engine) {
   const std::vector<Vertex> starts(kWalkTokens, 0);
   Rng rng(1);
   engine.reset(starts);
   for (auto _ : state) {
-    engine.run_for_steps(kWalkRounds, rng, 0.0, nullptr, mode);
+    engine.run_for_steps(kWalkRounds, rng);
     benchmark::DoNotOptimize(engine.num_visited());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -86,44 +85,12 @@ void BM_WalkImplicitGiantCycle(benchmark::State& state) {
   run_walk_rounds(state, engine);
 }
 
-// Lane-mode (RngMode::kLane) rows for the same families: the BM_WalkLane*
-// vs BM_Walk{Csr,Implicit}* deltas in BENCH_substrate.json track what the
-// per-lane-stream kernels buy per substrate (BENCH_4.json from
-// bench_engine is the primary lane-vs-legacy artifact).
-void BM_WalkLaneCsrExpander(benchmark::State& state) {
-  static const Graph g = make_margulis_expander(1024);
-  WalkEngine engine(g);
-  run_walk_rounds(state, engine, RngMode::kLane);
-}
-void BM_WalkLegacyCsrExpander(benchmark::State& state) {
+/// The 10^6-vertex 8-regular expander whose CSR arrays dwarf L2 — the
+/// workload the lane kernels' prefetch pipeline exists for.
+void BM_WalkCsrExpander(benchmark::State& state) {
   static const Graph g = make_margulis_expander(1024);
   WalkEngine engine(g);
   run_walk_rounds(state, engine);
-}
-void BM_WalkLaneCsrCycle(benchmark::State& state) {
-  static const Graph g = make_cycle(1 << 20);
-  WalkEngine engine(g);
-  run_walk_rounds(state, engine, RngMode::kLane);
-}
-void BM_WalkLaneImplicitCycle(benchmark::State& state) {
-  WalkEngineT<CycleSubstrate> engine{CycleSubstrate(1 << 20)};
-  run_walk_rounds(state, engine, RngMode::kLane);
-}
-void BM_WalkLaneImplicitTorus(benchmark::State& state) {
-  WalkEngineT<TorusSubstrate> engine{TorusSubstrate(1024)};
-  run_walk_rounds(state, engine, RngMode::kLane);
-}
-void BM_WalkLaneImplicitHypercube(benchmark::State& state) {
-  WalkEngineT<HypercubeSubstrate> engine{HypercubeSubstrate(20)};
-  run_walk_rounds(state, engine, RngMode::kLane);
-}
-void BM_WalkLaneImplicitComplete(benchmark::State& state) {
-  WalkEngineT<CompleteSubstrate> engine{CompleteSubstrate(4096)};
-  run_walk_rounds(state, engine, RngMode::kLane);
-}
-void BM_WalkLaneImplicitGiantCycle(benchmark::State& state) {
-  WalkEngineT<CycleSubstrate> engine{CycleSubstrate(1u << 27)};
-  run_walk_rounds(state, engine, RngMode::kLane);
 }
 
 BENCHMARK(BM_WalkCsrCycle);
@@ -135,14 +102,7 @@ BENCHMARK(BM_WalkImplicitHypercube);
 BENCHMARK(BM_WalkCsrComplete);
 BENCHMARK(BM_WalkImplicitComplete);
 BENCHMARK(BM_WalkImplicitGiantCycle);
-BENCHMARK(BM_WalkLegacyCsrExpander);
-BENCHMARK(BM_WalkLaneCsrExpander);
-BENCHMARK(BM_WalkLaneCsrCycle);
-BENCHMARK(BM_WalkLaneImplicitCycle);
-BENCHMARK(BM_WalkLaneImplicitTorus);
-BENCHMARK(BM_WalkLaneImplicitHypercube);
-BENCHMARK(BM_WalkLaneImplicitComplete);
-BENCHMARK(BM_WalkLaneImplicitGiantCycle);
+BENCHMARK(BM_WalkCsrExpander);
 
 void BM_GenCycle(benchmark::State& state) {
   const auto n = static_cast<Vertex>(state.range(0));

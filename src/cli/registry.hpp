@@ -3,9 +3,8 @@
 // Every paper experiment (the figures, Table 1, the ablations) registers a
 // name, a one-line summary, the paper claim it reproduces, its extra
 // parameters, and a runner returning a structured ExperimentResult. The
-// CLI (`manywalks list/run`) and the legacy per-experiment shim binaries
-// are both thin layers over this registry; future scenarios register here
-// instead of adding binary #14.
+// CLI (`manywalks list/run`) is a thin layer over this registry; new
+// scenarios register here instead of adding a binary.
 #pragma once
 
 #include <cstdint>

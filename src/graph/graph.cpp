@@ -122,35 +122,51 @@ GraphBuilder& GraphBuilder::add_arc(Vertex u, Vertex v) {
 Graph GraphBuilder::build(const BuildOptions& options) {
   const Vertex n = num_vertices_;
 
-  // Sort arcs by (source, target); this both builds CSR rows and makes
-  // duplicate handling a linear scan.
-  std::sort(arcs_.begin(), arcs_.end());
-
-  if (options.duplicates == DuplicatePolicy::kDedupe) {
-    arcs_.erase(std::unique(arcs_.begin(), arcs_.end()), arcs_.end());
-  }
-
+  // CSR by counting sort on the source, then a sort of each row by target:
+  // the rows come out in (source, target) order, so duplicate handling is
+  // a linear scan per row, and no global sort of the arc list is needed.
   std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<Vertex> targets;
-  targets.reserve(arcs_.size());
-
-  for (std::size_t i = 0; i < arcs_.size(); ++i) {
-    const auto [u, v] = arcs_[i];
-    if (u == v) {
-      MW_REQUIRE(options.loops == LoopPolicy::kKeep,
-                 "self loop at vertex " << u << " rejected by policy");
-    }
-    if (options.duplicates == DuplicatePolicy::kReject && i > 0) {
-      MW_REQUIRE(arcs_[i] != arcs_[i - 1],
-                 "parallel edge (" << u << "," << v << ") rejected by policy");
-    }
-    ++offsets[static_cast<std::size_t>(u) + 1];
-    targets.push_back(v);
+  for (const auto& arc : arcs_) {
+    ++offsets[static_cast<std::size_t>(arc.first) + 1];
   }
-  for (Vertex v = 0; v < n; ++v) offsets[static_cast<std::size_t>(v) + 1] += offsets[v];
-
+  for (Vertex v = 0; v < n; ++v) {
+    offsets[static_cast<std::size_t>(v) + 1] += offsets[v];
+  }
+  std::vector<Vertex> targets(arcs_.size());
+  // Scatter with offsets[u] as row u's cursor; afterwards offsets[u] holds
+  // row u's end, so shifting the array by one restores the row starts.
+  for (const auto& [u, v] : arcs_) targets[offsets[u]++] = v;
+  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+  offsets[0] = 0;
   arcs_.clear();
   arcs_.shrink_to_fit();
+
+  std::uint64_t kept = 0;
+  for (Vertex u = 0; u < n; ++u) {
+    const std::uint64_t begin = offsets[u];
+    const std::uint64_t end = offsets[static_cast<std::size_t>(u) + 1];
+    std::sort(targets.begin() + static_cast<std::ptrdiff_t>(begin),
+              targets.begin() + static_cast<std::ptrdiff_t>(end));
+    offsets[u] = kept;
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const Vertex v = targets[i];
+      if (u == v) {
+        MW_REQUIRE(options.loops == LoopPolicy::kKeep,
+                   "self loop at vertex " << u << " rejected by policy");
+      }
+      // Compaction only writes at or before i, so targets[i - 1] still
+      // holds row u's previous (sorted) target.
+      if (i > begin && v == targets[i - 1]) {
+        if (options.duplicates == DuplicatePolicy::kDedupe) continue;
+        MW_REQUIRE(options.duplicates != DuplicatePolicy::kReject,
+                   "parallel edge (" << u << "," << v
+                                     << ") rejected by policy");
+      }
+      targets[kept++] = v;
+    }
+  }
+  offsets[n] = kept;
+  targets.resize(kept);
 
   // from_csr validates symmetry, which catches asymmetric add_arc usage.
   return Graph::from_csr(std::move(offsets), std::move(targets),

@@ -11,32 +11,15 @@ namespace manywalks {
 
 McResult estimate_cover_time(const Graph& g, Vertex start, const McOptions& mc,
                              const CoverOptions& cover, ThreadPool* pool) {
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(1, pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [&g, start, cover_planned](std::uint64_t, Rng& rng) {
-        const CoverSample sample =
-            sample_cover_time(g, start, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
+  return estimate_cover_to_target(CsrSubstrate(g), start, 1, g.num_vertices(),
+                                  mc, cover, pool);
 }
 
 McResult estimate_k_cover_time(const Graph& g, Vertex start, unsigned k,
                                const McOptions& mc, const CoverOptions& cover,
                                ThreadPool* pool) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(k, pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [&g, start, k, cover_planned](std::uint64_t, Rng& rng) {
-        const CoverSample sample =
-            sample_k_cover_time(g, start, k, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
+  return estimate_cover_to_target(CsrSubstrate(g), start, k, g.num_vertices(),
+                                  mc, cover, pool);
 }
 
 McResult estimate_multi_cover_time(const Graph& g,
@@ -194,7 +177,7 @@ McResult estimate_cover_to_target_blocked(BlockWalkEngine& engine,
   // bit-identical to the in-core path.
   McOptions mc_serial = mc;
   mc_serial.parallelism = McParallelism::kLanes;
-  CoverOptions cover_run = resolve_sampler_mode(cover);
+  CoverOptions cover_run = cover;
   cover_run.lane_shards = 0;
   cover_run.shard_pool = nullptr;
   return run_monte_carlo(
@@ -217,32 +200,11 @@ std::vector<SpeedupEstimate> estimate_speedup_curve_to_target_blocked(
     BlockWalkEngine& engine, Vertex start, Vertex target,
     std::span<const unsigned> ks, const McOptions& mc,
     const CoverOptions& cover, BlockedRunTotals* totals) {
-  MW_REQUIRE(!ks.empty(), "need at least one k");
-  McOptions base = mc;
-  base.seed = mix64(mc.seed ^ 0x1a1cULL);  // distinct stream for the baseline
-  const McResult single = estimate_cover_to_target_blocked(
-      engine, start, 1, target, base, cover, totals);
-
-  std::vector<SpeedupEstimate> curve;
-  curve.reserve(ks.size());
-  for (unsigned k : ks) {
-    MW_REQUIRE(k >= 1, "k must be >= 1");
-    McOptions per_k = mc;
-    per_k.seed = mix64(mc.seed ^ (0xbeef00ULL + k));
-    const McResult multi =
-        k == 1 ? single
-               : estimate_cover_to_target_blocked(engine, start, k, target,
-                                                  per_k, cover, totals);
-    SpeedupEstimate est = combine_speedup(k, single, multi);
-    if (k == 1) {
-      // Same convention as the in-core curve: S^1 is exactly 1 with no
-      // uncertainty and never flagged.
-      est.half_width = 0.0;
-      est.censored = 0;
-    }
-    curve.push_back(est);
-  }
-  return curve;
+  return estimate_speedup_curve_with(
+      ks, mc, [&](unsigned k, const McOptions& mc_k) {
+        return estimate_cover_to_target_blocked(engine, start, k, target, mc_k,
+                                                cover, totals);
+      });
 }
 
 }  // namespace manywalks

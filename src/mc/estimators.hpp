@@ -1,14 +1,12 @@
 // Monte-Carlo estimators for the paper's quantities: C_i, C^k_i, h(u,v),
 // and the speed-up S^k = C / C^k with propagated uncertainty.
 //
-// RNG mode: every cover estimator funnels through the cover.hpp samplers,
-// which resolve an unspecified CoverOptions::rng_mode to kLane
-// (determinism contract v2) — so estimates are sampled by the pipelined
-// lane kernel unless the caller pins RngMode::kSharedLegacy. Either way
-// trial i under master seed s sees make_trial_rng(s, i) and results
+// Every cover estimator funnels through the cover.hpp samplers, so
+// estimates are sampled by the engine's lane kernels (determinism contract
+// v2): trial i under master seed s sees make_trial_rng(s, i), the engine
+// derives its per-token streams from one draw of that stream, and results
 // reduce in trial order, so estimates stay bit-identical across thread
-// counts; lane mode additionally derives per-token streams from one draw
-// of each trial stream.
+// counts.
 #pragma once
 
 #include <cstdint>
@@ -177,24 +175,18 @@ McResult estimate_k_cover_time(const S& substrate, Vertex start, unsigned k,
                                   substrate.num_vertices(), mc, cover, pool);
 }
 
-/// Estimates S^k = T¹(target)/T^k(target) across several k, reusing one
-/// k = 1 baseline. Mirrors the Graph overload's seeding scheme exactly
-/// (baseline stream mix64(seed ^ 0x1a1c), per-k mix64(seed ^ (0xbeef00+k))).
-template <Substrate S>
-std::vector<SpeedupEstimate> estimate_speedup_curve_to_target(
-    const S& substrate, Vertex start, Vertex target,
-    std::span<const unsigned> ks, const McOptions& mc,
-    const CoverOptions& cover = {}, ThreadPool* pool = nullptr) {
+/// The speed-up curve over a per-k estimate, with the curve's seeding
+/// stated once for every backend: the k = 1 baseline runs on stream
+/// mix64(seed ^ 0x1a1c) and is reused for every k; each k > 1 runs on
+/// mix64(seed ^ (0xbeef00 + k)). `estimate(k, mc)` returns T^k under the
+/// McOptions it is handed.
+template <class Estimate>
+std::vector<SpeedupEstimate> estimate_speedup_curve_with(
+    std::span<const unsigned> ks, const McOptions& mc, Estimate&& estimate) {
   MW_REQUIRE(!ks.empty(), "need at least one k");
-  std::unique_ptr<ThreadPool> local_pool;
-  if (pool == nullptr) {
-    local_pool = std::make_unique<ThreadPool>(mc.threads);
-    pool = local_pool.get();
-  }
   McOptions base = mc;
   base.seed = mix64(mc.seed ^ 0x1a1cULL);  // distinct stream for the baseline
-  const McResult single =
-      estimate_cover_to_target(substrate, start, 1, target, base, cover, pool);
+  const McResult single = estimate(1u, base);
 
   std::vector<SpeedupEstimate> curve;
   curve.reserve(ks.size());
@@ -202,10 +194,7 @@ std::vector<SpeedupEstimate> estimate_speedup_curve_to_target(
     MW_REQUIRE(k >= 1, "k must be >= 1");
     McOptions per_k = mc;
     per_k.seed = mix64(mc.seed ^ (0xbeef00ULL + k));
-    const McResult multi =
-        k == 1 ? single
-               : estimate_cover_to_target(substrate, start, k, target, per_k,
-                                          cover, pool);
+    const McResult multi = k == 1 ? single : estimate(k, per_k);
     SpeedupEstimate est = combine_speedup(k, single, multi);
     if (k == 1) {
       // Numerator and denominator are the same estimate: S^1 is exactly 1
@@ -218,6 +207,25 @@ std::vector<SpeedupEstimate> estimate_speedup_curve_to_target(
     curve.push_back(est);
   }
   return curve;
+}
+
+/// Estimates S^k = T¹(target)/T^k(target) across several k, reusing one
+/// k = 1 baseline (seeding: estimate_speedup_curve_with).
+template <Substrate S>
+std::vector<SpeedupEstimate> estimate_speedup_curve_to_target(
+    const S& substrate, Vertex start, Vertex target,
+    std::span<const unsigned> ks, const McOptions& mc,
+    const CoverOptions& cover = {}, ThreadPool* pool = nullptr) {
+  std::unique_ptr<ThreadPool> local_pool;
+  if (pool == nullptr) {
+    local_pool = std::make_unique<ThreadPool>(mc.threads);
+    pool = local_pool.get();
+  }
+  return estimate_speedup_curve_with(
+      ks, mc, [&](unsigned k, const McOptions& mc_k) {
+        return estimate_cover_to_target(substrate, start, k, target, mc_k,
+                                        cover, pool);
+      });
 }
 
 template <Substrate S>
@@ -273,9 +281,8 @@ McResult estimate_cover_to_target_blocked(BlockWalkEngine& engine,
                                           const CoverOptions& cover = {},
                                           BlockedRunTotals* totals = nullptr);
 
-/// S^k curve with one reused k = 1 baseline; mirrors
-/// estimate_speedup_curve_to_target's seeding exactly (baseline stream
-/// mix64(seed ^ 0x1a1c), per-k mix64(seed ^ (0xbeef00+k))).
+/// S^k curve with one reused k = 1 baseline (seeding:
+/// estimate_speedup_curve_with).
 std::vector<SpeedupEstimate> estimate_speedup_curve_to_target_blocked(
     BlockWalkEngine& engine, Vertex start, Vertex target,
     std::span<const unsigned> ks, const McOptions& mc,

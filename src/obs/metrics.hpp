@@ -5,8 +5,8 @@
 //   * the Monte-Carlo reduction loop (index-ordered over trial outcomes,
 //     always on the coordinating thread),
 //   * shard worker 0 of a sharded cover run, which per contract v3 IS the
-//     calling thread (parallel_for_static runs chunk 0 on the caller and
-//     run_shard_team mirrors that),
+//     calling thread (parallel_for_static runs chunk 0 on the caller, and
+//     a one-worker team runs inline),
 //   * the block engine's horizon loop (deliberately serial under v4),
 //   * per-worker WorkerCounters scratch merged index-ordered after the
 //     thread team joins.

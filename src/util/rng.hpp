@@ -111,10 +111,11 @@ class Xoshiro256PlusPlus {
   /// method: one multiply in the common case, unbiased.
   ///
   /// Deliberately consumes only the LOW 32 bits of each 64-bit draw: this
-  /// is the draw the shared_legacy walk streams are pinned to (golden tests
-  /// in tests/test_lane_rng.cpp), so its mapping can never change. New code
-  /// that is free to pick its own stream should prefer uniform_below_wide,
-  /// whose rejection re-draws are ~2^32x rarer at large bounds.
+  /// is the draw the walker.hpp single steps (and so the hitting-time and
+  /// return-time samplers) are pinned to, so its mapping can never change.
+  /// New code that is free to pick its own stream should prefer
+  /// uniform_below_wide, whose rejection re-draws are ~2^32x rarer at large
+  /// bounds.
   std::uint32_t uniform_below(std::uint32_t bound) noexcept {
     std::uint64_t x = next() & 0xffffffffULL;
     std::uint64_t m = x * bound;
@@ -137,8 +138,8 @@ class Xoshiro256PlusPlus {
   /// sequence is identical across implementations). Rejection probability
   /// drops from (2^32 mod bound)/2^32 — ~2.2% at bound = 10^8 — to
   /// bound/2^64, i.e. essentially never. This is the bounded draw of the
-  /// lane-mode walk kernel (and of any stream with no legacy bit-compat
-  /// obligation).
+  /// engine's lane kernels (and of any stream with no bit-compat
+  /// obligation to uniform_below).
   std::uint32_t uniform_below_wide(std::uint32_t bound) noexcept {
 #if defined(__SIZEOF_INT128__)
     __extension__ using u128 = unsigned __int128;
@@ -266,11 +267,11 @@ class LaneRngs {
   std::vector<Rng> lanes_;
 };
 
-/// Lane-mode neighbor-index draw: one masked word for power-of-two degrees,
+/// Lane neighbor-index draw: one masked word for power-of-two degrees,
 /// Lemire's full-word path otherwise. A pure function of (rng, degree) — so
 /// every substrate representation of the same graph consumes identical
-/// draws, and lane mode preserves the CSR-vs-implicit bit-identity of the
-/// CSR-ordered families exactly like the legacy stream does. (xoshiro256++
+/// draws, which keeps the CSR and implicit engines of the CSR-ordered
+/// families bit-identical. (xoshiro256++
 /// low bits are full quality, unlike the + variant, so the mask is sound.)
 inline std::uint32_t lane_neighbor_index(Rng& rng,
                                          std::uint32_t degree) noexcept {

@@ -47,10 +47,6 @@ CoverSample BlockWalkEngine::run_until_visited(Vertex target, Rng& rng,
                        << graph_->num_vertices());
   MW_REQUIRE(options.laziness >= 0.0 && options.laziness < 1.0,
              "laziness must be in [0,1)");
-  MW_REQUIRE(options.rng_mode != RngMode::kSharedLegacy,
-             "block-scheduled walking needs per-lane RNG streams: the "
-             "shared legacy stream draws in token order, which a block "
-             "schedule reorders");
   CoverSample sample;
   if (tracker_.num_visited() >= target) {
     sample.covered = true;
@@ -170,9 +166,8 @@ void BlockWalkEngine::process_block(std::uint32_t block, double laziness) {
     Vertex v = tokens_[lane];
     std::uint32_t left = rounds_left_[lane];
     Rng rng = rngs[lane];
-    // Per-step draws match the in-core lane kernels exactly (see
-    // with_any_lane_draw's draw-stream invariant): an optional uniform01
-    // iff laziness > 0, then lane_neighbor_index(rng, degree).
+    // Per-step draws match the in-core lane kernels exactly: an optional
+    // uniform01 iff laziness > 0, then lane_neighbor_index(rng, degree).
     while (left > 0) {
       if (laziness > 0.0 && rng.uniform01() < laziness) {
         --left;

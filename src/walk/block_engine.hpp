@@ -32,8 +32,7 @@
 //     lockstep end state, and coverage is monotone in rounds.
 //
 // The engine is serial by design (the workload is I/O-bound, not
-// CPU-bound); kSharedLegacy rng_mode is rejected — a shared draw stream
-// is order-dependent and cannot be block-scheduled.
+// CPU-bound).
 #pragma once
 
 #include <cstdint>
@@ -75,13 +74,13 @@ class BlockWalkEngine {
   void reset(std::span<const Vertex> starts);
 
   /// Same contract (and same results, bit for bit) as the in-core lane
-  /// engine's run_until_visited. options.rng_mode must be kDefault or
-  /// kLane; lane_shards/shard_pool are ignored (serial engine).
+  /// engine's run_until_visited. lane_shards/shard_pool are ignored
+  /// (serial engine).
   CoverSample run_until_visited(Vertex target, Rng& rng,
                                 const CoverOptions& options = {});
 
   /// Same contract (and same end state, bit for bit) as the in-core lane
-  /// engine's run_for_steps in kLane mode. Chunked calls are equivalent
+  /// engine's run_for_steps. Chunked calls are equivalent
   /// to one combined call.
   void run_for_steps(std::uint64_t rounds, Rng& rng, double laziness = 0.0);
 

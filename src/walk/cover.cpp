@@ -13,11 +13,7 @@ namespace manywalks {
 // (Graph caches its min degree) — the guard against the allocator handing
 // a new graph the same blocks as a cached engine's — and the per-thread
 // pooled WalkEngineT<CsrSubstrate> in cover.hpp rebinds on array identity
-// exactly as the historical pooled WalkEngine did. Every sampler resolves
-// an unspecified rng_mode to lane (determinism contract v2); callers
-// pinning the pre-lane streams pass RngMode::kSharedLegacy explicitly,
-// under which the streams are unchanged (tests/test_engine.cpp,
-// tests/test_substrate.cpp, tests/test_lane_rng.cpp goldens).
+// exactly as the historical pooled WalkEngine did.
 
 CoverSample sample_cover_time(const Graph& g, Vertex start, Rng& rng,
                               const CoverOptions& options) {
@@ -56,8 +52,7 @@ CoverageCurve sample_coverage_curve(const Graph& g,
                                     std::span<const Vertex> starts,
                                     std::uint64_t total_steps,
                                     std::uint64_t record_every, Rng& rng,
-                                    const CoverOptions& raw_options) {
-  const CoverOptions options = resolve_sampler_mode(raw_options);
+                                    const CoverOptions& options) {
   MW_REQUIRE(record_every >= 1, "record_every must be >= 1");
   MW_REQUIRE(options.laziness >= 0.0 && options.laziness < 1.0,
              "laziness must be in [0,1)");
@@ -72,8 +67,7 @@ CoverageCurve sample_coverage_curve(const Graph& g,
   std::uint64_t t = 0;
   while (t < last) {
     const std::uint64_t chunk = std::min<std::uint64_t>(record_every, last - t);
-    engine.run_for_steps(chunk, rng, options.laziness, nullptr,
-                         options.rng_mode);
+    engine.run_for_steps(chunk, rng, options.laziness);
     t += chunk;
     curve.times.push_back(t);
     curve.visited.push_back(engine.num_visited());
@@ -84,15 +78,13 @@ CoverageCurve sample_coverage_curve(const Graph& g,
 std::vector<std::uint64_t> sample_visit_counts(const Graph& g, Vertex start,
                                                std::uint64_t num_steps,
                                                Rng& rng,
-                                               const CoverOptions& raw_options) {
-  const CoverOptions options = resolve_sampler_mode(raw_options);
+                                               const CoverOptions& options) {
   auto& engine = pooled_substrate_engine(CsrSubstrate(g));
   const Vertex starts[1] = {start};
   engine.reset(starts);
   std::vector<std::uint64_t> counts(g.num_vertices(), 0);
   counts[start] = 1;
-  engine.run_for_steps(num_steps, rng, options.laziness, counts.data(),
-                       options.rng_mode);
+  engine.run_for_steps(num_steps, rng, options.laziness, counts.data());
   return counts;
 }
 

@@ -12,41 +12,6 @@ namespace manywalks {
 
 class ThreadPool;  // util/thread_pool.hpp
 
-/// How the engine turns the caller's Rng into per-step randomness
-/// (determinism contract v2, docs/ARCHITECTURE.md "RNG scheme").
-enum class RngMode : std::uint8_t {
-  /// "Whatever the layer's default is": the raw WalkEngineT primitives
-  /// resolve kDefault to kSharedLegacy, so every pre-lane engine call site
-  /// (and its golden/determinism tests) stays bit-identical; the sampling
-  /// layer — cover.hpp samplers, mc/estimators, the CLI experiments —
-  /// resolves it to kLane via resolve_sampler_mode().
-  kDefault,
-  /// One stream shared by all k tokens, consumed token by token in
-  /// walker.hpp order — bit-identical to the pre-lane engine. Serializes
-  /// the round loop on the stream's data dependency.
-  kSharedLegacy,
-  /// Per-token streams: the engine draws ONE 64-bit lane master from the
-  /// caller's stream at the first run after reset(), then derives lane i's
-  /// stream with make_lane_rng(master, i). Independent lanes let the round
-  /// loop software-pipeline its cache misses; still bit-reproducible
-  /// across thread counts and schedulers (the lane master comes from the
-  /// deterministic per-trial stream). The default of every sampler above
-  /// the raw engine.
-  kLane,
-};
-
-/// Which ShardVisitTracker model the sharded round driver commits through
-/// (determinism contract v3). Both produce byte-identical results; the
-/// choice is purely a performance/contention trade.
-enum class ShardTrackerKind : std::uint8_t {
-  /// Per-shard private bitmaps + index-ordered merge-on-demand
-  /// (ShardedVisitTracker) — the default: shards share no mutable words.
-  kSharded,
-  /// One shared relaxed-atomic bitmap (AtomicVisitTracker): exact counts
-  /// every round, no merge pass, contended fetch_or on hot words.
-  kAtomic,
-};
-
 /// The automatic shard count for a k-lane trial: a pure function of k (and
 /// nothing else — NOT the thread count, NOT the pool size), so the shard
 /// cut and therefore every result is invariant under --threads
@@ -63,42 +28,21 @@ struct CoverOptions {
   /// Safety cap on rounds; a sample that reaches the cap reports
   /// covered=false with steps=step_cap.
   std::uint64_t step_cap = std::numeric_limits<std::uint64_t>::max();
-  /// Layer-resolved (see RngMode::kDefault): legacy at the raw engine,
-  /// lane in every sampler above it.
-  RngMode rng_mode = RngMode::kDefault;
-  /// Lane-sharding plan (determinism contract v3; lane mode only). 0 with
-  /// a null shard_pool = serial unsharded (the status quo); 0 with a pool
-  /// = auto_lane_shards(k); >= 1 pins the shard count (1 still routes
-  /// through the sharded driver — the golden-test configuration). The
-  /// RESULT is identical in every case; only the schedule changes.
+  /// Lane-sharding plan (determinism contract v3). 0 with a null
+  /// shard_pool = serial unsharded; 0 with a pool = auto_lane_shards(k);
+  /// >= 1 pins the shard count (1 still routes through the sharded
+  /// driver — the golden-test configuration). The RESULT is identical in
+  /// every case; only the schedule changes.
   unsigned lane_shards = 0;
   /// Worker team for the sharded round driver: the engine runs shards on
   /// min(shard_pool->size()+1, shards) executors (the calling thread
   /// participates). Null = shards run inline on the caller. Not owned.
   ThreadPool* shard_pool = nullptr;
-  /// Tracker model for sharded commits (see ShardTrackerKind).
-  ShardTrackerKind shard_tracker = ShardTrackerKind::kSharded;
 };
 
-/// CoverOptions with lane mode requested explicitly — the spelled-out form
-/// of the sampling layer's default, used where code wants to state the
-/// mode rather than inherit a layer default (CLI experiments, benches).
-constexpr CoverOptions lane_cover_options() noexcept {
-  CoverOptions options;
-  options.rng_mode = RngMode::kLane;
-  return options;
-}
-
-/// The sampling layer's mode resolution: an unspecified rng_mode means
-/// lane mode (determinism contract v2). Applied once at each public
-/// sampler's entry; the raw engine instead treats kDefault as
-/// kSharedLegacy.
-constexpr CoverOptions resolve_sampler_mode(CoverOptions options) noexcept {
-  if (options.rng_mode == RngMode::kDefault) {
-    options.rng_mode = RngMode::kLane;
-  }
-  return options;
-}
+/// The default CoverOptions, spelled as a call for call sites that state
+/// their options explicitly (CLI experiments, benches).
+constexpr CoverOptions lane_cover_options() noexcept { return {}; }
 
 struct CoverSample {
   std::uint64_t steps = 0;  ///< rounds until coverage (or the cap)

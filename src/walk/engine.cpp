@@ -2,8 +2,7 @@
 
 namespace manywalks {
 
-// The hot loops (legacy shared-stream and pipelined lane-mode rounds)
-// compile here once, with the substrate accessors inlined into the round
+// The hot loops (the pipelined lane rounds) compile here once, with the substrate accessors inlined into the round
 // loop, instead of in every including translation unit.
 template class WalkEngineT<CsrSubstrate>;
 template class WalkEngineT<CycleSubstrate>;

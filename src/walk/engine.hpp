@@ -10,29 +10,19 @@
 // n/8-byte scratch is the ONLY O(n) allocation, which is what lets the
 // giant-graph experiments run at n = 10^7–10^8 with no CSR ever built.
 //
-// Two sampling modes (CoverOptions::rng_mode; docs/ARCHITECTURE.md "RNG
-// scheme" for the full determinism contract v2):
-//
-//   * kSharedLegacy — all k tokens consume ONE caller stream token by
-//     token in exactly the walker.hpp order: one uniform_below(degree) per
-//     step, with a preceding uniform01 draw iff laziness > 0. Byte-
-//     identical to the pre-engine implementation (tests/test_engine.cpp,
-//     tests/test_substrate.cpp) and to the pre-lane engine (golden tests
-//     in tests/test_lane_rng.cpp). The shared stream serializes the round
-//     loop: token i+1's draw depends on token i's rng.next().
-//
-//   * kLane — each token owns an independent stream derived from a single
-//     64-bit lane master (drawn once from the caller's stream at the first
-//     run after reset(); make_lane_rng(master, i) for lane i). Independent
-//     lanes break the cross-token dependency chain, so the round loop is
-//     software-pipelined: tokens are processed in blocks of kLaneBlock,
-//     and while one stage computes, prefetches for the next stage's CSR
-//     offset rows, neighbor words, and visit-tracker words are already in
-//     flight. The neighbor draw is lane_neighbor_index(rng, degree) — a
-//     pure function of (lane stream, degree), mask for power-of-two
-//     degrees, full-word Lemire otherwise — so CSR and implicit engines of
-//     the same CSR-ordered family stay bit-identical in lane mode too.
-//     Still bit-reproducible across --threads values and schedulers.
+// Sampling (determinism contract v2, docs/ARCHITECTURE.md "RNG scheme"):
+// each token owns an independent lane stream derived from a single 64-bit
+// lane master, drawn once from the caller's stream at the first run after
+// reset(); lane i uses make_lane_rng(master, i). Independent lanes break
+// the cross-token dependency chain, so the round loop is software-
+// pipelined: tokens are processed in blocks of kLaneBlock, and while one
+// stage computes, prefetches for the next stage's CSR offset rows,
+// neighbor words, and visit-tracker words are already in flight. The
+// neighbor draw is lane_neighbor_index(rng, degree) — a pure function of
+// (lane stream, degree), mask for power-of-two degrees, full-word Lemire
+// otherwise — so CSR and implicit engines of the same CSR-ordered family
+// stay bit-identical. Results are bit-reproducible across --threads values
+// and schedulers.
 #pragma once
 
 #include <algorithm>
@@ -58,20 +48,6 @@ namespace manywalks {
 
 namespace detail {
 
-/// One token step over a substrate, legacy shared stream. Draw order
-/// matches walker.hpp: lazy walks spend one uniform01 before the (possibly
-/// skipped) neighbor draw; simple walks spend exactly one
-/// uniform_below(degree).
-template <bool kLazy, class S>
-inline Vertex advance_token(Vertex v, const S& substrate, Rng& rng,
-                            double laziness) {
-  if constexpr (kLazy) {
-    if (rng.uniform01() < laziness) return v;
-  }
-  const Vertex degree = substrate.degree(v);
-  return substrate.neighbor(v, rng.uniform_below(degree));
-}
-
 /// Lanes per pipeline block. 16 independent loads in flight comfortably
 /// saturates the miss queues of current cores while the stage scratch
 /// (two 16-entry arrays) stays in registers/L1.
@@ -94,7 +70,7 @@ inline void commit_visit(Vertex v, std::uint64_t* words, Vertex& visited,
   if constexpr (kCounts) ++counts[v];
 }
 
-/// One pipelined lane-mode round over an arc-addressable (CSR) substrate.
+/// One pipelined lane round over an arc-addressable (CSR) substrate.
 /// Three stages per block, each issuing the next stage's prefetches while
 /// the current one computes:
 ///   1. offset-row loads + per-lane draws, prefetch the neighbor words;
@@ -189,7 +165,7 @@ struct LanePerVertexDraw {
   }
 };
 
-/// One lane-mode round over a closed-form substrate: the adjacency costs
+/// One lane round over a closed-form substrate: the adjacency costs
 /// no loads, so no staging is worth its overhead — a fused loop of k
 /// independent (rng, position) chains already lets the core overlap the
 /// tracker-word accesses, the only memory the implicit families touch.
@@ -213,16 +189,16 @@ inline void lane_round_direct(const S& substrate, Draw draw, Vertex* toks,
   }
 }
 
-/// All `rounds` lane-mode steps of every lane, lane-major: with no
+/// All `rounds` lane steps of every lane, lane-major: with no
 /// per-round coverage check to honor, each lane's whole strip runs with
-/// its RNG state and position in registers (the per-step state load/store
-/// tax of the round-major schedule is what keeps ALU-bound substrates at
-/// legacy parity). Tracker-bit sets and visit-counter increments commute
-/// and lanes never read each other's state in a fixed-rounds run, so the
-/// final tokens/visited-set/counts are identical to the round-major
-/// schedule. Arc-addressable substrates keep the round-major kernels:
-/// their throughput comes from overlapping k independent memory chains,
-/// which lane-major would serialize.
+/// its RNG state and position in registers (the round-major schedule pays
+/// a per-step state load/store tax that dominates ALU-bound substrates).
+/// Tracker-bit sets and visit-counter increments commute and lanes never
+/// read each other's state in a fixed-rounds run, so the final
+/// tokens/visited-set/counts are identical to the round-major schedule.
+/// Arc-addressable substrates keep the round-major kernels: their
+/// throughput comes from overlapping k independent memory chains, which
+/// lane-major would serialize.
 template <bool kLazy, bool kCounts, class S, class Draw>
 inline void lane_steps_lane_major(const S& substrate, Draw draw,
                                   std::uint64_t rounds, Vertex* toks,
@@ -274,7 +250,7 @@ inline void lane_steps_lane_major(const S& substrate, Draw draw,
   }
 }
 
-/// One lane-mode round over a REGULAR arc-addressable substrate
+/// One lane round over a REGULAR arc-addressable substrate
 /// (regular_stride() != 0): arc = stride*v + draw needs no offset-row
 /// load, so each lane's per-step dependency chain is exactly one memory
 /// access — the neighbor word — and the loop prefetches the landing
@@ -327,9 +303,9 @@ class WalkEngineT {
 
   /// Re-seeds the tokens (each validated against the vertex range) and
   /// resets the visited scratch; the starts count as visited at t = 0.
-  /// Cheap enough to call once per Monte-Carlo trial. Also discards any
-  /// lane streams: the next lane-mode run derives fresh lanes from its
-  /// caller's stream.
+  /// Cheap enough to call once per Monte-Carlo trial. Also discards the
+  /// lane streams: the next run derives fresh lanes from its caller's
+  /// stream.
   void reset(std::span<const Vertex> starts) {
     MW_REQUIRE(!starts.empty(), "k-walk needs at least one token");
     tracker_.reset();
@@ -358,27 +334,20 @@ class WalkEngineT {
       sample.covered = true;
       return sample;
     }
-    if (options.rng_mode == RngMode::kLane) {
-      if (options.step_cap == 0) return sample;  // no rounds, no draws
-      ensure_lanes(rng);
-      if (const unsigned shards = resolved_lane_shards(options); shards > 0) {
-        // Determinism contract v3: the sharded driver is byte-identical to
-        // the serial lane path for every shard/thread count (lane
-        // trajectories are pure functions of the per-token streams and the
-        // visited set is a schedule-invariant union).
-        sample = options.laziness > 0.0
-                     ? run_until_visited_sharded<true>(target, options, shards)
-                     : run_until_visited_sharded<false>(target, options,
-                                                        shards);
-      } else {
-        sample = options.laziness > 0.0
-                     ? run_until_visited_lane<true>(target, options)
-                     : run_until_visited_lane<false>(target, options);
-      }
+    if (options.step_cap == 0) return sample;  // no rounds, no draws
+    ensure_lanes(rng);
+    if (const unsigned shards = resolved_lane_shards(options); shards > 0) {
+      // Determinism contract v3: the sharded driver is byte-identical to
+      // the serial lane path for every shard/thread count (lane
+      // trajectories are pure functions of the per-token streams and the
+      // visited set is a schedule-invariant union).
+      sample = options.laziness > 0.0
+                   ? run_until_visited_sharded<true>(target, options, shards)
+                   : run_until_visited_sharded<false>(target, options, shards);
     } else {
       sample = options.laziness > 0.0
-                   ? run_until_visited_impl<true>(target, rng, options)
-                   : run_until_visited_impl<false>(target, rng, options);
+                   ? run_until_visited_lane<true>(target, options)
+                   : run_until_visited_lane<false>(target, options);
     }
     note_rounds_observed(sample.steps);
     return sample;
@@ -387,40 +356,23 @@ class WalkEngineT {
   /// Advances all tokens for exactly `rounds` rounds, marking visits. When
   /// `visit_counts` is non-null it must point at num_vertices() counters;
   /// each token increments its landing vertex's counter every step.
-  /// Chunked calls are equivalent to one combined call in both modes
-  /// (lane mode seeds its lanes once, at the first non-empty run after
-  /// reset(), consuming exactly one draw of `rng`).
+  /// Chunked calls are equivalent to one combined call (the lanes are
+  /// seeded once, at the first non-empty run after reset(), consuming
+  /// exactly one draw of `rng`).
   void run_for_steps(std::uint64_t rounds, Rng& rng, double laziness = 0.0,
-                     std::uint64_t* visit_counts = nullptr,
-                     RngMode rng_mode = RngMode::kSharedLegacy) {
+                     std::uint64_t* visit_counts = nullptr) {
     MW_REQUIRE(!tokens_.empty(), "no tokens; call reset() before running");
     MW_REQUIRE(laziness >= 0.0 && laziness < 1.0, "laziness must be in [0,1)");
-    if (rng_mode == RngMode::kLane) {
-      if (rounds == 0) return;
-      ensure_lanes(rng);
-      if (laziness > 0.0) {
-        visit_counts != nullptr
-            ? run_for_steps_lane<true, true>(rounds, laziness, visit_counts)
-            : run_for_steps_lane<true, false>(rounds, laziness, visit_counts);
-      } else {
-        visit_counts != nullptr
-            ? run_for_steps_lane<false, true>(rounds, laziness, visit_counts)
-            : run_for_steps_lane<false, false>(rounds, laziness, visit_counts);
-      }
-      note_rounds_observed(rounds);
-      return;
-    }
+    if (rounds == 0) return;
+    ensure_lanes(rng);
     if (laziness > 0.0) {
       visit_counts != nullptr
-          ? run_for_steps_impl<true, true>(rounds, rng, laziness, visit_counts)
-          : run_for_steps_impl<true, false>(rounds, rng, laziness,
-                                            visit_counts);
+          ? run_for_steps_lane<true, true>(rounds, laziness, visit_counts)
+          : run_for_steps_lane<true, false>(rounds, laziness, visit_counts);
     } else {
       visit_counts != nullptr
-          ? run_for_steps_impl<false, true>(rounds, rng, laziness,
-                                            visit_counts)
-          : run_for_steps_impl<false, false>(rounds, rng, laziness,
-                                             visit_counts);
+          ? run_for_steps_lane<false, true>(rounds, laziness, visit_counts)
+          : run_for_steps_lane<false, false>(rounds, laziness, visit_counts);
     }
     note_rounds_observed(rounds);
   }
@@ -433,7 +385,7 @@ class WalkEngineT {
   bool visited(Vertex v) const { return tracker_.visited(v); }
 
  private:
-  /// Derives the per-token lane streams on the first lane-mode run after a
+  /// Derives the per-token lane streams on the first run after a
   /// reset(): one 64-bit lane master off the caller's stream, then
   /// make_lane_rng(master, i) per lane. Subsequent (chunked) runs continue
   /// the same lanes and never touch `rng` again.
@@ -488,7 +440,7 @@ class WalkEngineT {
     }
   }
 
-  /// Resolves the lane ROUND kernel for this substrate — stride-addressed
+  /// Resolves the lane round kernel for this substrate — stride-addressed
   /// or staged-pipeline CSR round, fused direct round otherwise — and
   /// hands it to `body` as a nullary callable.
   template <bool kLazy, bool kCounts, class Body>
@@ -534,10 +486,10 @@ class WalkEngineT {
   // function of the CoverOptions plan (never of the pool size), so the
   // schedule assigns the SAME lanes the SAME streams for every thread
   // count. Each round, every shard advances its lanes with the serial lane
-  // kernels (plain trackers) or a stream-identical generic advance (atomic
-  // tracker); the round barrier then publishes the per-shard counts and
-  // every worker replicates the cover decision from shared state, so all
-  // of them take the same branch without a coordinator.
+  // kernels into its own ShardedVisitTracker bitmap; the round barrier
+  // then publishes the per-shard counts and every worker replicates the
+  // cover decision from shared state, so all of them take the same branch
+  // without a coordinator.
 
   /// First lane of shard s when k lanes split into `shards` blocks.
   static std::size_t shard_lane_begin(std::size_t k, unsigned shards,
@@ -564,26 +516,6 @@ class WalkEngineT {
     return static_cast<unsigned>(std::min<std::size_t>(shards, k));
   }
 
-  /// The lane draw policy WITHOUT a round kernel attached: every branch
-  /// consumes exactly the draws of lane_neighbor_index(rng, degree) (the
-  /// same dispatch with_lane_round resolves), so the atomic tracker's
-  /// generic per-lane advance stays stream-identical to the pipelined
-  /// kernels on every substrate.
-  template <class Body>
-  static auto with_any_lane_draw(const S& substrate, Body&& body) {
-    if constexpr (ArcAddressableSubstrate<S>) {
-      const auto stride =
-          static_cast<std::uint64_t>(substrate.regular_stride());
-      if (stride != 0) {
-        return with_hoisted_draw(static_cast<std::uint32_t>(stride),
-                                 std::forward<Body>(body));
-      }
-      return body(detail::LanePerVertexDraw{});
-    } else {
-      return with_lane_draw(substrate, std::forward<Body>(body));
-    }
-  }
-
   ShardedVisitTracker& ensure_sharded_scratch(unsigned shards) {
     if (sharded_scratch_ == nullptr ||
         sharded_scratch_->num_shards() != shards) {
@@ -593,72 +525,14 @@ class WalkEngineT {
     return *sharded_scratch_;
   }
 
-  AtomicVisitTracker& ensure_atomic_scratch(unsigned shards) {
-    if (atomic_scratch_ == nullptr || atomic_scratch_->num_shards() != shards) {
-      atomic_scratch_ =
-          std::make_unique<AtomicVisitTracker>(num_vertices_, shards);
-    }
-    return *atomic_scratch_;
-  }
-
+  /// The worker team is the caller plus at most team-1 pool workers,
+  /// pinned to contiguous shard blocks via parallel_for_static. A failing
+  /// worker poisons the barrier so the rest of the team exits instead of
+  /// deadlocking, and its exception is rethrown on the caller.
   template <bool kLazy>
   CoverSample run_until_visited_sharded(Vertex target,
                                         const CoverOptions& options,
                                         unsigned shards) {
-    if (options.shard_tracker == ShardTrackerKind::kAtomic) {
-      return run_until_visited_sharded_atomic<kLazy>(target, options, shards);
-    }
-    return run_until_visited_sharded_plain<kLazy>(target, options, shards);
-  }
-
-  /// One round of shard s through the relaxed-atomic tracker: a generic
-  /// per-lane advance (draws identical to the lane kernels — see
-  /// with_any_lane_draw) committing via fetch_or.
-  template <bool kLazy>
-  void atomic_shard_round(const S& substrate, Vertex* toks, Rng* rngs,
-                          std::size_t lane_begin, std::size_t lane_end,
-                          [[maybe_unused]] double laziness,
-                          AtomicVisitTracker& trk, unsigned s) {
-    with_any_lane_draw(substrate, [&](auto draw) {
-      for (std::size_t i = lane_begin; i < lane_end; ++i) {
-        Vertex v = toks[i];
-        if constexpr (kLazy) {
-          if (rngs[i].uniform01() < laziness) {
-            trk.visit(s, v);
-            continue;
-          }
-        }
-        v = substrate.neighbor(v, draw(rngs[i], substrate, v));
-        toks[i] = v;
-        trk.visit(s, v);
-      }
-    });
-  }
-
-  /// Shared scaffold of both sharded drivers: builds the worker team
-  /// (caller + at most team-1 pool workers, pinned to contiguous shard
-  /// blocks via parallel_for_static), runs the replicated-control worker
-  /// loop, and propagates the first worker exception (the barrier is
-  /// poisoned on failure so the rest of the team exits instead of
-  /// deadlocking).
-  template <class Worker>
-  static void run_shard_team(ThreadPool* pool, unsigned team,
-                             std::vector<std::exception_ptr>& errors,
-                             const Worker& worker) {
-    if (team == 1) {
-      worker(0);
-    } else {
-      parallel_for_static(*pool, team, worker);
-    }
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-  }
-
-  template <bool kLazy>
-  CoverSample run_until_visited_sharded_plain(Vertex target,
-                                              const CoverOptions& options,
-                                              unsigned shards) {
     ShardedVisitTracker& trk = ensure_sharded_scratch(shards);
     trk.reset();
     trk.seed_merged(tracker_.words(), tracker_.num_visited());
@@ -706,8 +580,8 @@ class WalkEngineT {
         bool covered = false;
         while (t < options.step_cap) {
           ++t;
-          // Worker 0 IS the calling thread (run_shard_team/parallel_for_
-          // static run chunk 0 on the caller), so the heartbeat and the
+          // Worker 0 IS the calling thread (parallel_for_static runs
+          // chunk 0 on the caller), so the heartbeat and the
           // queue-depth sample stay single-threaded. Printing is the only
           // effect — the walk and merge schedule below never reads the
           // clock.
@@ -774,7 +648,14 @@ class WalkEngineT {
         barrier.poison();
       }
     };
-    run_shard_team(pool, team, errors, worker);
+    if (team == 1) {
+      worker(0);
+    } else {
+      parallel_for_static(*pool, team, worker);
+    }
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
 
     // Observability flush on the calling thread after the team joined; the
     // merge/stall decisions are replicated so worker 0's counts are exact.
@@ -788,81 +669,6 @@ class WalkEngineT {
     // Post-state identical to the serial path: the merged bitmap is the
     // run's visited set (the final round always merged).
     std::copy(trk.merged_words(), trk.merged_words() + wps, tracker_.words());
-    tracker_.set_num_visited(static_cast<Vertex>(results[0].visited));
-    CoverSample sample;
-    sample.covered = results[0].covered;
-    sample.steps = results[0].covered ? results[0].steps : options.step_cap;
-    return sample;
-  }
-
-  template <bool kLazy>
-  CoverSample run_until_visited_sharded_atomic(Vertex target,
-                                               const CoverOptions& options,
-                                               unsigned shards) {
-    AtomicVisitTracker& trk = ensure_atomic_scratch(shards);
-    trk.reset();
-    trk.seed(tracker_.words(), tracker_.num_visited());
-
-    const S substrate = substrate_;
-    Vertex* const toks = tokens_.data();
-    Rng* const rngs = lane_rngs_.data();
-    const std::size_t k = tokens_.size();
-    const double laziness = options.laziness;
-
-    ThreadPool* const pool = options.shard_pool;
-    const auto team =
-        pool == nullptr
-            ? 1u
-            : static_cast<unsigned>(
-                  std::min<std::uint64_t>(pool->size() + 1, shards));
-
-    SpinBarrier barrier(team);
-    std::vector<std::exception_ptr> errors(team);
-    struct WorkerResult {
-      std::uint64_t steps = 0;
-      std::uint64_t visited = 0;
-      bool covered = false;
-    };
-    std::vector<WorkerResult> results(team);
-
-    const auto worker = [&](std::uint64_t w) {
-      try {
-        const auto shard_begin = static_cast<unsigned>(w * shards / team);
-        const auto shard_end = static_cast<unsigned>((w + 1) * shards / team);
-        std::uint64_t t = 0;
-        std::uint64_t total = tracker_.num_visited();
-        bool covered = false;
-        while (t < options.step_cap) {
-          ++t;
-          const auto parity = static_cast<unsigned>(t & 1);
-          for (unsigned s = shard_begin; s < shard_end; ++s) {
-            atomic_shard_round<kLazy>(substrate, toks, rngs,
-                                      shard_lane_begin(k, shards, s),
-                                      shard_lane_begin(k, shards, s + 1),
-                                      laziness, trk, s);
-            trk.publish_shard(parity, s);
-          }
-          if (!barrier.arrive_and_wait()) return;
-          // One winner per bit makes the published count sum exact every
-          // round — no merge pass; the frozen parity-t buffer (never the
-          // live counters a fast worker is already bumping in round t+1)
-          // is what every worker reads, so all of them take the same
-          // branch.
-          total = trk.published_total(parity);
-          if (total >= target) {
-            covered = true;
-            break;
-          }
-        }
-        results[w] = {t, total, covered};
-      } catch (...) {
-        errors[w] = std::current_exception();
-        barrier.poison();
-      }
-    };
-    run_shard_team(pool, team, errors, worker);
-
-    trk.copy_words_to(tracker_.words());
     tracker_.set_num_visited(static_cast<Vertex>(results[0].visited));
     CoverSample sample;
     sample.covered = results[0].covered;
@@ -931,59 +737,6 @@ class WalkEngineT {
     tracker_.set_num_visited(visited);
   }
 
-  template <bool kLazy>
-  CoverSample run_until_visited_impl(Vertex target, Rng& rng,
-                                     const CoverOptions& options) {
-    const S substrate = substrate_;  // register-resident copy for the loop
-    Vertex* const toks = tokens_.data();
-    std::uint64_t* const words = tracker_.words();
-    const std::size_t k = tokens_.size();
-    const double laziness = options.laziness;
-    Vertex visited = tracker_.num_visited();
-
-    CoverSample sample;
-    std::uint64_t t = 0;
-    while (t < options.step_cap) {
-      ++t;
-      for (std::size_t i = 0; i < k; ++i) {
-        const Vertex v =
-            detail::advance_token<kLazy>(toks[i], substrate, rng, laziness);
-        toks[i] = v;
-        detail::commit_visit<false>(v, words, visited, nullptr);
-      }
-      if (visited >= target) {
-        tracker_.set_num_visited(visited);
-        sample.steps = t;
-        sample.covered = true;
-        return sample;
-      }
-    }
-    tracker_.set_num_visited(visited);
-    sample.steps = options.step_cap;
-    sample.covered = false;
-    return sample;
-  }
-
-  template <bool kLazy, bool kCounts>
-  void run_for_steps_impl(std::uint64_t rounds, Rng& rng, double laziness,
-                          std::uint64_t* visit_counts) {
-    const S substrate = substrate_;
-    Vertex* const toks = tokens_.data();
-    std::uint64_t* const words = tracker_.words();
-    const std::size_t k = tokens_.size();
-    Vertex visited = tracker_.num_visited();
-
-    for (std::uint64_t t = 0; t < rounds; ++t) {
-      for (std::size_t i = 0; i < k; ++i) {
-        const Vertex v =
-            detail::advance_token<kLazy>(toks[i], substrate, rng, laziness);
-        toks[i] = v;
-        detail::commit_visit<kCounts>(v, words, visited, visit_counts);
-      }
-    }
-    tracker_.set_num_visited(visited);
-  }
-
   S substrate_;
   Vertex num_vertices_;
   std::vector<Vertex> tokens_;
@@ -994,7 +747,6 @@ class WalkEngineT {
   // reruns the same (n, shards) thousands of times; reset() is an O(S·n/64)
   // fill, reallocation is not).
   std::unique_ptr<ShardedVisitTracker> sharded_scratch_;
-  std::unique_ptr<AtomicVisitTracker> atomic_scratch_;
 };
 
 // The instantiations every caller uses live in engine.cpp; a custom

@@ -40,12 +40,6 @@ class TempFile {
   std::string path_;
 };
 
-CoverOptions lane_options() {
-  CoverOptions options;
-  options.rng_mode = RngMode::kLane;
-  return options;
-}
-
 // --- mwg v2 format -----------------------------------------------------------
 
 TEST(MwgV2, RoundTripPreservesArraysAndIndex) {
@@ -337,13 +331,13 @@ TEST(BlockEngineContract, CoverBitIdenticalAtEveryBudget) {
         Rng rng_a = make_trial_rng(0xb10cULL, trial);
         in_core.reset(starts);
         const CoverSample expect =
-            in_core.run_until_visited(target, rng_a, lane_options());
+            in_core.run_until_visited(target, rng_a);
         for (const std::uint64_t budget : kBudgets) {
           BlockWalkEngine engine(blocked, budget);
           Rng rng_b = make_trial_rng(0xb10cULL, trial);
           engine.reset(starts);
           const CoverSample got =
-              engine.run_until_visited(target, rng_b, lane_options());
+              engine.run_until_visited(target, rng_b);
           ASSERT_EQ(expect.steps, got.steps)
               << "k=" << k << " trial=" << trial << " budget=" << budget;
           ASSERT_EQ(expect.covered, got.covered);
@@ -367,7 +361,7 @@ TEST(BlockEngineContract, StepCapTruncation) {
   const std::vector<Vertex> starts(8, 0);
   for (const std::uint64_t cap : {0ull, 3ull, 64ull, 65ull, 100ull}) {
     SCOPED_TRACE(cap);
-    CoverOptions options = lane_options();
+    CoverOptions options;
     options.step_cap = cap;
     Rng rng_a(99);
     in_core.reset(starts);
@@ -399,12 +393,12 @@ TEST(BlockEngineContract, TargetHitMidHorizon) {
     Rng rng_a(7);
     in_core.reset(starts);
     const CoverSample expect =
-        in_core.run_until_visited(target, rng_a, lane_options());
+        in_core.run_until_visited(target, rng_a);
     BlockWalkEngine engine(blocked, 1 << 20);
     Rng rng_b(7);
     engine.reset(starts);
     const CoverSample got =
-        engine.run_until_visited(target, rng_b, lane_options());
+        engine.run_until_visited(target, rng_b);
     EXPECT_EQ(expect.steps, got.steps);
     EXPECT_EQ(expect.covered, got.covered);
     EXPECT_LT(got.steps, kBlockHorizon) << "test wants a mid-horizon hit";
@@ -430,7 +424,7 @@ TEST(BlockEngineContract, BlockBoundaryStarts) {
   WalkEngine in_core(graph);
   Rng rng_a(3);
   in_core.reset(starts);
-  in_core.run_for_steps(200, rng_a, 0.0, nullptr, RngMode::kLane);
+  in_core.run_for_steps(200, rng_a);
   BlockWalkEngine engine(blocked, 4096);
   Rng rng_b(3);
   engine.reset(starts);
@@ -472,7 +466,7 @@ TEST(BlockEngineContract, LazyWalkBitIdentical) {
   const BlockedGraph blocked(file.path());
   WalkEngine in_core(graph);
   const std::vector<Vertex> starts(8, 0);
-  CoverOptions options = lane_options();
+  CoverOptions options;
   options.laziness = 0.3;
   options.step_cap = 500;
   Rng rng_a(21);
@@ -489,20 +483,6 @@ TEST(BlockEngineContract, LazyWalkBitIdentical) {
   expect_same_end_state(in_core, engine);
 }
 
-TEST(BlockEngineContract, SharedLegacyModeRejected) {
-  const Graph graph = make_cycle(64);
-  TempFile file("legacy.mwg");
-  write_mwg(file.path(), graph, 4);
-  const BlockedGraph blocked(file.path());
-  BlockWalkEngine engine(blocked, 4096);
-  engine.reset(std::vector<Vertex>{0});
-  Rng rng(1);
-  CoverOptions options;
-  options.rng_mode = RngMode::kSharedLegacy;
-  EXPECT_THROW(engine.run_until_visited(10, rng, options),
-               std::invalid_argument);
-}
-
 // --- blocked estimators ------------------------------------------------------
 
 TEST(BlockedEstimators, CoverEstimateMatchesInCore) {
@@ -516,11 +496,11 @@ TEST(BlockedEstimators, CoverEstimateMatchesInCore) {
   mc.max_trials = 12;
   mc.seed = 0xabcdULL;
   const McResult expect = estimate_k_cover_time(
-      graph, /*start=*/0, /*k=*/8, mc, lane_options(), nullptr);
+      graph, /*start=*/0, /*k=*/8, mc, CoverOptions{}, nullptr);
 
   BlockWalkEngine engine(blocked, 4096);
   const McResult got = estimate_cover_to_target_blocked(
-      engine, /*start=*/0, /*k=*/8, graph.num_vertices(), mc, lane_options());
+      engine, /*start=*/0, /*k=*/8, graph.num_vertices(), mc);
   EXPECT_EQ(expect.ci.count, got.ci.count);
   EXPECT_EQ(expect.ci.mean, got.ci.mean);
   EXPECT_EQ(expect.ci.half_width, got.ci.half_width);
@@ -541,11 +521,11 @@ TEST(BlockedEstimators, SpeedupCurveMatchesInCore) {
   mc.max_trials = 8;
   mc.seed = 0x5eedULL;
   const auto expect = estimate_speedup_curve_to_target(
-      substrate, 0, target, ks, mc, lane_options(), nullptr);
+      substrate, 0, target, ks, mc, CoverOptions{}, nullptr);
 
   BlockWalkEngine engine(blocked, 1 << 14);
   const auto got = estimate_speedup_curve_to_target_blocked(
-      engine, 0, target, ks, mc, lane_options());
+      engine, 0, target, ks, mc);
   ASSERT_EQ(expect.size(), got.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     SCOPED_TRACE(ks[i]);

@@ -2,112 +2,163 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "lane_reference.hpp"
 #include "util/thread_pool.hpp"
 #include "walk/cover.hpp"
 #include "walk/visit_tracker.hpp"
-#include "walk/walker.hpp"
 
 namespace manywalks {
 namespace {
-
-/// Reference implementation: the seed's per-step k-walk loop, kept here as
-/// the oracle for the engine's determinism contract (monte_carlo.hpp: trial
-/// i under master seed s always uses make_trial_rng(s, i) and must see the
-/// same stream regardless of which code path advances the tokens).
-CoverSample reference_cover(const Graph& g, std::span<const Vertex> starts,
-                            Vertex target, Rng& rng,
-                            const CoverOptions& options = {}) {
-  VisitTracker tracker(g.num_vertices());
-  std::vector<Vertex> tokens(starts.begin(), starts.end());
-  for (Vertex s : tokens) tracker.visit(s);
-  CoverSample sample;
-  if (tracker.num_visited() >= target) {
-    sample.covered = true;
-    return sample;
-  }
-  const bool lazy = options.laziness > 0.0;
-  std::uint64_t t = 0;
-  while (t < options.step_cap) {
-    ++t;
-    for (Vertex& token : tokens) {
-      token = lazy ? step_walk_lazy(g, token, rng, options.laziness)
-                   : step_walk(g, token, rng);
-      tracker.visit(token);
-    }
-    if (tracker.num_visited() >= target) {
-      sample.steps = t;
-      sample.covered = true;
-      return sample;
-    }
-  }
-  sample.steps = options.step_cap;
-  sample.covered = false;
-  return sample;
-}
 
 struct Instance {
   const char* name;
   Graph g;
 };
 
+/// Regular graphs run the stride-addressed CSR kernel; the open grid and
+/// the lollipop (irregular) run the staged-pipeline CSR kernel.
 std::vector<Instance> test_instances() {
   std::vector<Instance> instances;
   instances.push_back({"cycle", make_cycle(64)});
   instances.push_back({"grid2d", make_grid_2d(8)});
+  instances.push_back({"grid2d-open", make_grid_2d(8, GridTopology::kOpen)});
   instances.push_back({"hypercube", make_hypercube(6)});
   instances.push_back({"complete", make_complete(32)});
   instances.push_back({"margulis", make_margulis_expander(8)});
+  instances.push_back({"lollipop", make_lollipop(24)});
   return instances;
 }
 
-TEST(WalkEngine, ByteIdenticalToReferenceAcrossTrialStreams) {
-  constexpr std::uint64_t kMasterSeed = 0x5eedULL;
-  constexpr std::uint64_t kTrials = 24;
+/// Runs `trials` cover trials through `engine` and through the lane
+/// reference over `oracle` (the same graph): equal steps, equal covered,
+/// and the caller's stream advanced by exactly the one lane-master draw.
+template <class Engine, class G>
+void expect_matches_reference(Engine& engine, const G& oracle,
+                              const std::vector<Vertex>& starts,
+                              const CoverOptions& options,
+                              std::uint64_t seed, std::uint64_t trials) {
+  const Vertex target = oracle.num_vertices();
+  for (std::uint64_t trial = 0; trial < trials; ++trial) {
+    Rng ref_rng = make_trial_rng(seed, trial);
+    Rng eng_rng = make_trial_rng(seed, trial);
+    const CoverSample expected =
+        reference_cover(oracle, starts, target, ref_rng, options);
+    engine.reset(starts);
+    const CoverSample actual =
+        engine.run_until_visited(target, eng_rng, options);
+    ASSERT_EQ(expected.steps, actual.steps) << "trial=" << trial;
+    ASSERT_EQ(expected.covered, actual.covered) << "trial=" << trial;
+    Rng one_draw = make_trial_rng(seed, trial);
+    one_draw.next();
+    ASSERT_EQ(ref_rng.state(), one_draw.state()) << "trial=" << trial;
+    ASSERT_EQ(eng_rng.state(), one_draw.state()) << "trial=" << trial;
+  }
+}
+
+/// The fixed-rounds twin: run_for_steps (with visit counters) against the
+/// reference rounds — equal tokens, visited set, counters and stream.
+template <class Engine, class G>
+void expect_steps_match_reference(Engine& engine, const G& oracle,
+                                  const std::vector<Vertex>& starts,
+                                  std::uint64_t rounds, double laziness) {
+  const Vertex n = oracle.num_vertices();
+  Rng ref_rng(0x57e9ULL);
+  Rng eng_rng(0x57e9ULL);
+  ReferenceLanes<G> ref(oracle, starts);
+  std::vector<std::uint64_t> ref_counts(n, 0);
+  ref.seed(ref_rng);
+  for (std::uint64_t t = 0; t < rounds; ++t) {
+    ref.round(laziness, ref_counts.data());
+  }
+
+  std::vector<std::uint64_t> counts(n, 0);
+  engine.reset(starts);
+  engine.run_for_steps(rounds, eng_rng, laziness, counts.data());
+  EXPECT_EQ(ref_rng.state(), eng_rng.state());
+  EXPECT_EQ(ref_counts, counts);
+  EXPECT_EQ(ref.tracker.num_visited(), engine.num_visited());
+  ASSERT_EQ(ref.tokens.size(), engine.tokens().size());
+  for (std::size_t i = 0; i < ref.tokens.size(); ++i) {
+    EXPECT_EQ(ref.tokens[i], engine.tokens()[i]) << "lane " << i;
+  }
+  for (Vertex v = 0; v < n; ++v) {
+    ASSERT_EQ(ref.tracker.visited(v), engine.visited(v)) << "v=" << v;
+  }
+}
+
+/// Stride and staged-pipeline CSR kernels against the lane reference.
+void expect_csr_kernels_match_reference(double laziness) {
+  CoverOptions options;
+  options.laziness = laziness;
   for (const auto& [name, g] : test_instances()) {
     WalkEngine engine(g);
-    for (unsigned k : {1u, 3u, 16u}) {
-      const std::vector<Vertex> starts(k, 0);
-      for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
-        Rng ref_rng = make_trial_rng(kMasterSeed, trial);
-        Rng eng_rng = make_trial_rng(kMasterSeed, trial);
-        const CoverSample expected =
-            reference_cover(g, starts, g.num_vertices(), ref_rng);
-        engine.reset(starts);
-        const CoverSample actual =
-            engine.run_until_visited(g.num_vertices(), eng_rng);
-        ASSERT_EQ(expected.steps, actual.steps)
-            << name << " k=" << k << " trial=" << trial;
-        ASSERT_EQ(expected.covered, actual.covered)
-            << name << " k=" << k << " trial=" << trial;
-        // Same draws consumed, not just same result.
-        ASSERT_EQ(ref_rng.state(), eng_rng.state())
-            << name << " k=" << k << " trial=" << trial;
-      }
+    for (unsigned k : {1u, 3u, 16u, 37u}) {
+      SCOPED_TRACE(::testing::Message() << name << " k=" << k);
+      expect_matches_reference(engine, g, std::vector<Vertex>(k, 0), options,
+                               0x5eedULL, 8);
     }
   }
 }
 
+TEST(WalkEngine, ByteIdenticalToReferenceAcrossTrialStreams) {
+  expect_csr_kernels_match_reference(0.0);
+}
+
 TEST(WalkEngine, ByteIdenticalToReferenceWithLaziness) {
-  const Graph g = make_grid_2d(8);
-  WalkEngine engine(g);
-  CoverOptions options;
-  options.laziness = 0.3;
-  const std::vector<Vertex> starts(4, 2);
-  for (std::uint64_t trial = 0; trial < 16; ++trial) {
-    Rng ref_rng = make_trial_rng(99, trial);
-    Rng eng_rng = make_trial_rng(99, trial);
-    const CoverSample expected =
-        reference_cover(g, starts, g.num_vertices(), ref_rng, options);
-    engine.reset(starts);
-    const CoverSample actual =
-        engine.run_until_visited(g.num_vertices(), eng_rng, options);
-    EXPECT_EQ(expected.steps, actual.steps) << "trial=" << trial;
-    EXPECT_EQ(ref_rng.state(), eng_rng.state()) << "trial=" << trial;
+  expect_csr_kernels_match_reference(0.3);
+}
+
+TEST(WalkEngine, DirectKernelsMatchLaneReference) {
+  // The fused direct kernel over each implicit substrate: mask draws
+  // (cycle, torus, K_33), full-word Lemire draws (hypercube degree 6,
+  // K_32), simple and lazy walks.
+  const auto check = [](const auto& substrate, const char* name) {
+    WalkEngineT<std::decay_t<decltype(substrate)>> engine(substrate);
+    for (const double laziness : {0.0, 0.3}) {
+      CoverOptions options;
+      options.laziness = laziness;
+      for (unsigned k : {1u, 5u, 20u}) {
+        SCOPED_TRACE(::testing::Message() << name << " k=" << k
+                                          << " laziness=" << laziness);
+        expect_matches_reference(engine, substrate,
+                                 std::vector<Vertex>(k, 1), options, 0xd1ULL,
+                                 8);
+      }
+    }
+  };
+  check(CycleSubstrate(64), "cycle");
+  check(TorusSubstrate(8), "torus");
+  check(HypercubeSubstrate(6), "hypercube");
+  check(CompleteSubstrate(32), "complete32");
+  check(CompleteSubstrate(33), "complete33");
+}
+
+TEST(WalkEngine, RunForStepsMatchesLaneReference) {
+  // Round-major CSR kernels and the lane-major strips of the implicit
+  // substrates, with visit counters, simple and lazy.
+  for (const double laziness : {0.0, 0.3}) {
+    SCOPED_TRACE(laziness);
+    const std::vector<Vertex> starts = {0, 5, 9, 9, 2, 7};
+    for (const auto& [name, g] : test_instances()) {
+      SCOPED_TRACE(name);
+      WalkEngine engine(g);
+      expect_steps_match_reference(engine, g, starts, 150, laziness);
+    }
+    {
+      const CycleSubstrate cycle(64);
+      WalkEngineT<CycleSubstrate> engine(cycle);
+      expect_steps_match_reference(engine, cycle, starts, 150, laziness);
+    }
+    {
+      const HypercubeSubstrate cube(6);
+      WalkEngineT<HypercubeSubstrate> engine(cube);
+      expect_steps_match_reference(engine, cube, starts, 150, laziness);
+    }
   }
 }
 
@@ -211,23 +262,12 @@ TEST(WalkEngine, ValidatesArguments) {
 TEST(WalkEngine, CsrSubstrateInstantiationIsTheGraphEngine) {
   // WalkEngine IS WalkEngineT<CsrSubstrate>: a bare template instantiation
   // over the wrapped CSR arrays must consume the same draws and sample the
-  // same cover times as both the Graph-facing engine and the reference
-  // per-step walker (the RNG-stream contract the substrate refactor must
-  // not break).
+  // same cover times as the lane reference over the Graph.
   for (const auto& [name, g] : test_instances()) {
+    SCOPED_TRACE(name);
     WalkEngineT<CsrSubstrate> substrate_engine{CsrSubstrate(g)};
-    const std::vector<Vertex> starts(3, 0);
-    for (std::uint64_t trial = 0; trial < 12; ++trial) {
-      Rng ref_rng = make_trial_rng(0xabcULL, trial);
-      Rng eng_rng = make_trial_rng(0xabcULL, trial);
-      const CoverSample expected =
-          reference_cover(g, starts, g.num_vertices(), ref_rng);
-      substrate_engine.reset(starts);
-      const CoverSample actual =
-          substrate_engine.run_until_visited(g.num_vertices(), eng_rng);
-      ASSERT_EQ(expected.steps, actual.steps) << name << " trial=" << trial;
-      ASSERT_EQ(ref_rng.state(), eng_rng.state()) << name << " trial=" << trial;
-    }
+    expect_matches_reference(substrate_engine, g, std::vector<Vertex>(3, 0),
+                             CoverOptions{}, 0xabcULL, 12);
   }
 }
 
@@ -272,7 +312,7 @@ TEST(WalkEngine, ShardCountAndThreadCountAreInvisible) {
   // Determinism contract v3: for a fixed seed, the sharded round driver
   // must be BIT-identical to the serial lane path — same steps, same
   // visited count, same visited set — for every shard count, with and
-  // without a worker team, for both tracker models.
+  // without a worker team.
   constexpr std::uint64_t kMasterSeed = 0xc3ULL;
   ThreadPool pool1(1);
   ThreadPool pool3(3);
@@ -282,33 +322,26 @@ TEST(WalkEngine, ShardCountAndThreadCountAreInvisible) {
     const std::vector<Vertex> starts(16, 0);
     const auto target = static_cast<Vertex>(g.num_vertices());
     for (std::uint64_t trial = 0; trial < 8; ++trial) {
-      CoverOptions lane;
-      lane.rng_mode = RngMode::kLane;
       Rng ref_rng = make_trial_rng(kMasterSeed, trial);
       serial.reset(starts);
-      const CoverSample expected = serial.run_until_visited(target, ref_rng, lane);
-      for (const ShardTrackerKind kind :
-           {ShardTrackerKind::kSharded, ShardTrackerKind::kAtomic}) {
-        for (const unsigned shards : {1u, 2u, 8u}) {
-          for (ThreadPool* pool : {(ThreadPool*)nullptr, &pool1, &pool3}) {
-            CoverOptions opt = lane;
-            opt.lane_shards = shards;
-            opt.shard_pool = pool;
-            opt.shard_tracker = kind;
-            Rng rng = make_trial_rng(kMasterSeed, trial);
-            sharded.reset(starts);
-            const CoverSample actual = sharded.run_until_visited(target, rng, opt);
-            const char* kind_name =
-                kind == ShardTrackerKind::kSharded ? "sharded" : "atomic";
-            ASSERT_EQ(expected.steps, actual.steps)
-                << name << " trial=" << trial << " shards=" << shards
-                << " tracker=" << kind_name << " pool=" << (pool != nullptr);
-            ASSERT_EQ(expected.covered, actual.covered) << name;
-            ASSERT_EQ(serial.num_visited(), sharded.num_visited()) << name;
-            for (Vertex v = 0; v < g.num_vertices(); ++v) {
-              ASSERT_EQ(serial.visited(v), sharded.visited(v))
-                  << name << " v=" << v << " shards=" << shards;
-            }
+      const CoverSample expected = serial.run_until_visited(target, ref_rng);
+      for (const unsigned shards : {1u, 2u, 8u}) {
+        for (ThreadPool* pool : {(ThreadPool*)nullptr, &pool1, &pool3}) {
+          CoverOptions opt;
+          opt.lane_shards = shards;
+          opt.shard_pool = pool;
+          Rng rng = make_trial_rng(kMasterSeed, trial);
+          sharded.reset(starts);
+          const CoverSample actual =
+              sharded.run_until_visited(target, rng, opt);
+          ASSERT_EQ(expected.steps, actual.steps)
+              << name << " trial=" << trial << " shards=" << shards
+              << " pool=" << (pool != nullptr);
+          ASSERT_EQ(expected.covered, actual.covered) << name;
+          ASSERT_EQ(serial.num_visited(), sharded.num_visited()) << name;
+          for (Vertex v = 0; v < g.num_vertices(); ++v) {
+            ASSERT_EQ(serial.visited(v), sharded.visited(v))
+                << name << " v=" << v << " shards=" << shards;
           }
         }
       }
@@ -327,12 +360,10 @@ TEST(WalkEngine, ShardedPartialTargetsMatchSerial) {
   const std::vector<Vertex> starts(8, 0);
   for (const Vertex target : {Vertex{9}, Vertex{64}, Vertex{256}}) {
     for (std::uint64_t trial = 0; trial < 12; ++trial) {
-      CoverOptions lane;
-      lane.rng_mode = RngMode::kLane;
       Rng ref_rng = make_trial_rng(0xeeULL, trial);
       serial.reset(starts);
-      const CoverSample expected = serial.run_until_visited(target, ref_rng, lane);
-      CoverOptions opt = lane;
+      const CoverSample expected = serial.run_until_visited(target, ref_rng);
+      CoverOptions opt;
       opt.lane_shards = 4;
       opt.shard_pool = &pool;
       Rng rng = make_trial_rng(0xeeULL, trial);
@@ -351,7 +382,6 @@ TEST(WalkEngine, ShardedStepCapTruncatesLikeSerial) {
   WalkEngine engine(g);
   const std::vector<Vertex> starts(4, 0);
   CoverOptions opt;
-  opt.rng_mode = RngMode::kLane;
   opt.step_cap = 10;
   opt.lane_shards = 2;
   opt.shard_pool = &pool;
@@ -365,50 +395,6 @@ TEST(WalkEngine, ShardedStepCapTruncatesLikeSerial) {
   Vertex bits = 0;
   for (Vertex v = 0; v < g.num_vertices(); ++v) bits += engine.visited(v);
   EXPECT_EQ(bits, engine.num_visited());
-}
-
-TEST(WalkEngine, LaneAndSharedStreamDistributionsAgree) {
-  // The sharded lane path and the legacy shared-stream path draw from
-  // different streams, so their samples differ trial by trial — but they
-  // sample the SAME cover-time distribution. A two-sample mean test with a
-  // generous gate catches gross distributional drift (e.g. a shard losing
-  // or double-counting visits) without flaking.
-  const Graph g = make_margulis_expander(8);
-  ThreadPool pool(2);
-  WalkEngine engine(g);
-  const std::vector<Vertex> starts(8, 0);
-  const auto target = static_cast<Vertex>(g.num_vertices());
-  constexpr int kTrials = 300;
-  double sum_lane = 0, sum_legacy = 0, sq_lane = 0, sq_legacy = 0;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    CoverOptions sharded;
-    sharded.rng_mode = RngMode::kLane;
-    sharded.lane_shards = 4;
-    sharded.shard_pool = &pool;
-    Rng rng_lane = make_trial_rng(0x10, trial);
-    engine.reset(starts);
-    const auto lane =
-        static_cast<double>(engine.run_until_visited(target, rng_lane, sharded).steps);
-    CoverOptions legacy;
-    legacy.rng_mode = RngMode::kSharedLegacy;
-    Rng rng_legacy = make_trial_rng(0x20, trial);
-    engine.reset(starts);
-    const auto shared =
-        static_cast<double>(engine.run_until_visited(target, rng_legacy, legacy).steps);
-    sum_lane += lane;
-    sum_legacy += shared;
-    sq_lane += lane * lane;
-    sq_legacy += shared * shared;
-  }
-  const double mean_lane = sum_lane / kTrials;
-  const double mean_legacy = sum_legacy / kTrials;
-  const double var_lane = sq_lane / kTrials - mean_lane * mean_lane;
-  const double var_legacy = sq_legacy / kTrials - mean_legacy * mean_legacy;
-  const double se = std::sqrt((var_lane + var_legacy) / kTrials);
-  // ~5.5 sigma two-sample z gate: false-positive odds are negligible while
-  // any systematic visit-accounting bug shifts the mean far beyond it.
-  EXPECT_LT(std::abs(mean_lane - mean_legacy), 5.5 * se + 1e-9)
-      << "lane mean " << mean_lane << " vs legacy mean " << mean_legacy;
 }
 
 TEST(WalkEngine, RejectsImpossibleTarget) {

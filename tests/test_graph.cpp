@@ -84,11 +84,16 @@ TEST(GraphBuilderTest, RejectsParallelEdgesByDefault) {
 TEST(GraphBuilderTest, DedupesParallelEdges) {
   GraphBuilder b(3);
   b.add_edge(0, 1).add_edge(1, 0).add_edge(0, 1);
+  b.add_edge(2, 1).add_edge(1, 2);  // later rows shift left after dedupe
   GraphBuilder::BuildOptions options;
   options.duplicates = GraphBuilder::DuplicatePolicy::kDedupe;
   const Graph g = b.build(options);
-  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.edge_multiplicity(0, 1), 1u);
+  const auto row1 = g.neighbors(1);
+  EXPECT_EQ(std::vector<Vertex>(row1.begin(), row1.end()),
+            (std::vector<Vertex>{0, 2}));
+  EXPECT_EQ(g.degree(2), 1u);
 }
 
 TEST(GraphBuilderTest, KeepsParallelEdges) {

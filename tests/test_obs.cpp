@@ -393,7 +393,6 @@ TEST(ObsGolden, ShardedCoverRunIsBitIdenticalUnderFullObservation) {
   const std::vector<Vertex> starts(kK, 0);
   ThreadPool pool(3);
   CoverOptions opt;
-  opt.rng_mode = RngMode::kLane;
   opt.lane_shards = 4;
   opt.shard_pool = &pool;
   WalkEngine engine(g);

@@ -2,9 +2,9 @@
 //   * each implicit substrate enumerates exactly the CSR graph's arc
 //     multiset (same walk law), and cycle/torus/complete in exactly CSR
 //     order (bit-identical RNG streams);
-//   * WalkEngineT over an implicit substrate reproduces the CSR engine /
-//     reference-walker samples where the order matches, and is itself
-//     deterministic and chunk-consistent everywhere;
+//   * WalkEngineT over an implicit substrate reproduces the CSR engine
+//     samples where the order matches and the lane reference walk
+//     (lane_reference.hpp) everywhere, and is chunk-consistent;
 //   * the substrate samplers/estimators are deterministic, honor the
 //     partial-cover target, and run at giant n with no CSR allocation.
 #include "graph/substrate.hpp"
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "lane_reference.hpp"
 #include "mc/estimators.hpp"
 #include "walk/cover.hpp"
 #include "walk/engine.hpp"
@@ -179,8 +180,8 @@ TEST(SubstrateEngine, PartialTargetsBitIdenticalToo) {
 
 TEST(SubstrateEngine, HypercubeMatchesSubstrateReferenceWalk) {
   // The hypercube's neighbor order is a permutation of the CSR row, so
-  // streams are not CSR-comparable; instead check the engine against a
-  // plain per-step reference over the SAME substrate accessors.
+  // streams are not CSR-comparable; instead check the engine against the
+  // plain per-lane reference over the SAME substrate accessors.
   const HypercubeSubstrate substrate(6);
   const Vertex n = substrate.num_vertices();
   WalkEngineT<HypercubeSubstrate> engine(substrate);
@@ -188,26 +189,11 @@ TEST(SubstrateEngine, HypercubeMatchesSubstrateReferenceWalk) {
   for (std::uint64_t trial = 0; trial < 16; ++trial) {
     Rng ref_rng = make_trial_rng(11, trial);
     Rng eng_rng = make_trial_rng(11, trial);
-
-    std::vector<bool> visited(n, false);
-    std::vector<Vertex> tokens = starts;
-    Vertex distinct = 0;
-    for (Vertex s : tokens) {
-      if (!visited[s]) { visited[s] = true; ++distinct; }
-    }
-    std::uint64_t steps = 0;
-    while (distinct < n) {
-      ++steps;
-      for (Vertex& token : tokens) {
-        token = substrate.neighbor(
-            token, ref_rng.uniform_below(substrate.degree(token)));
-        if (!visited[token]) { visited[token] = true; ++distinct; }
-      }
-    }
-
+    const CoverSample expected = reference_cover(substrate, starts, n, ref_rng);
     engine.reset(starts);
     const CoverSample sample = engine.run_until_visited(n, eng_rng);
-    ASSERT_EQ(sample.steps, steps) << "trial=" << trial;
+    ASSERT_TRUE(sample.covered) << "trial=" << trial;
+    ASSERT_EQ(sample.steps, expected.steps) << "trial=" << trial;
     ASSERT_EQ(ref_rng.state(), eng_rng.state()) << "trial=" << trial;
   }
 }

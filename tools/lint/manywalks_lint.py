@@ -22,10 +22,10 @@ hold. Generic tooling cannot know them, so this checker does:
                             contraction choices and breaks cross-build
                             comparability of committed results.
   manywalks-stray-atomic    std::atomic/std::atomic_ref/std::atomic_flag
-                            outside visit_tracker.hpp and thread_pool.* —
-                            shared mutable state anywhere else escapes the
-                            replicated-control protocol (determinism
-                            contract v3) and its TSan coverage.
+                            outside thread_pool.* — shared mutable state
+                            anywhere else escapes the replicated-control
+                            protocol (determinism contract v3) and its
+                            TSan coverage.
   manywalks-mmap-outside-storage
                             mmap/munmap/madvise and friends outside
                             src/storage/ — every mapping and its advice
@@ -341,15 +341,13 @@ class StrayAtomicRule(Rule):
     name = RULE_PREFIX + "stray-atomic"
     description = (
         "std::atomic / std::atomic_ref / std::atomic_flag outside "
-        "src/walk/visit_tracker.hpp and src/util/thread_pool.* — the "
-        "determinism contract v3 confines shared mutable state to the "
-        "tracker and the pool/barrier so every cross-thread interaction "
-        "stays inside the audited, TSan-covered replicated-control "
-        "protocol; ad-hoc atomics elsewhere reintroduce schedule-dependent "
-        "results"
+        "src/util/thread_pool.* — the determinism contract v3 confines "
+        "shared mutable state to the pool/barrier so every cross-thread "
+        "interaction stays inside the audited, TSan-covered "
+        "replicated-control protocol; ad-hoc atomics elsewhere reintroduce "
+        "schedule-dependent results"
     )
     EXEMPT = (
-        "src/walk/visit_tracker.hpp",
         "src/util/thread_pool.hpp",
         "src/util/thread_pool.cpp",
     )
@@ -370,11 +368,11 @@ class StrayAtomicRule(Rule):
             findings.append(
                 self._finding(
                     src, lineno, match.start() + 1,
-                    f"'std::{match.group(1)}' outside visit_tracker.hpp/"
-                    "thread_pool.*: shared mutable state must live in the "
-                    "audited tracker/pool layer (determinism contract v3); "
-                    "route cross-thread communication through "
-                    "ShardVisitTracker or the SpinBarrier protocol",
+                    f"'std::{match.group(1)}' outside thread_pool.*: "
+                    "shared mutable state must live in the audited pool "
+                    "layer (determinism contract v3); route cross-thread "
+                    "communication through ShardedVisitTracker's "
+                    "per-shard bitmaps and the SpinBarrier protocol",
                 )
             )
         return findings
