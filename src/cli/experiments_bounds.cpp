@@ -25,7 +25,7 @@ ExperimentResult run_matthews_bounds(const ExperimentParams& params,
                                      ThreadPool& pool) {
   const ExperimentPreset& preset = preset_for("fig_matthews_bounds");
   const std::uint64_t seed = params.seed;
-  // Exact h_max needs the O(n^3) fundamental matrix: cap n at ~1024.
+  // Exact h_max needs an O(n^3) dense factorization: cap n at ~1024.
   const std::uint64_t target_n = resolve_n(preset, params);
   const std::uint64_t target_trials = resolve_trials(preset, params);
 

@@ -20,11 +20,11 @@ struct HmaxEstimate {
   double half_width = 0.0;   ///< 0 when exact
 };
 
-/// Measures h_max = max_{u,v} h(u, v). For n <= exact_limit the fundamental
-/// matrix gives the exact maximum (O(n^3)); otherwise hitting times are
-/// sampled on heuristic extremal pairs (double-sweep BFS endpoints, the
-/// minimum-degree vertex, and a few random pairs) and the max is reported
-/// as a lower-bound estimate.
+/// Measures h_max = max_{u,v} h(u, v). For n <= exact_limit
+/// hitting_time_matrix gives the exact maximum (O(n^3)); otherwise hitting
+/// times are sampled on heuristic extremal pairs (double-sweep BFS
+/// endpoints, the minimum-degree vertex, and a few random pairs) and the
+/// max is reported as a lower-bound estimate.
 HmaxEstimate measure_h_max(const Graph& g, const McOptions& mc,
                            std::uint64_t exact_limit = 1200,
                            ThreadPool* pool = nullptr);

@@ -101,6 +101,55 @@ DenseMatrix solve_linear_multi(DenseMatrix a, DenseMatrix b) {
   return x;
 }
 
+DenseMatrix spd_inverse(DenseMatrix a) {
+  const std::size_t n = a.rows();
+  MW_REQUIRE(a.cols() == n, "spd_inverse needs a square matrix");
+
+  // Right-looking Cholesky in place on the upper triangle: row k becomes
+  // row k of R, then updates every later row i by an axpy with multiplier
+  // R(k, i), so the inner loops run along contiguous rows.
+  for (std::size_t k = 0; k < n; ++k) {
+    const double pivot = a.at(k, k);
+    MW_REQUIRE(pivot > 1e-12, "matrix not positive definite in spd_inverse "
+                              "(pivot " << pivot << " at column " << k << ")");
+    const double r_kk = std::sqrt(pivot);
+    double* row_k = &a.at(k, 0);
+    row_k[k] = r_kk;
+    for (std::size_t j = k + 1; j < n; ++j) row_k[j] /= r_kk;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double mult = row_k[i];
+      if (mult == 0.0) continue;
+      double* row_i = &a.at(i, 0);
+      for (std::size_t j = i; j < n; ++j) row_i[j] -= mult * row_k[j];
+    }
+  }
+
+  // G = A^-1 solves R G = R^-T, whose right side is lower triangular with
+  // diagonal 1/R(i,i). Bottom-up, row i of G right of the diagonal is
+  // -sum_{j>i} R(i,j) G(j,.) / R(i,i) over rows already complete; the
+  // diagonal then follows from the new row, and symmetry fills column i.
+  DenseMatrix g(n, n, 0.0);
+  for (std::size_t i = n; i-- > 0;) {
+    const double* r_i = &a.at(i, 0);
+    double* g_i = &g.at(i, 0);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double mult = r_i[j];
+      if (mult == 0.0) continue;
+      const double* g_j = &g.at(j, 0);
+      for (std::size_t c = i + 1; c < n; ++c) g_i[c] -= mult * g_j[c];
+    }
+    const double inv_r = 1.0 / r_i[i];
+    double diag = inv_r;
+    for (std::size_t c = i + 1; c < n; ++c) {
+      g_i[c] *= inv_r;
+      diag -= r_i[c] * g_i[c];
+    }
+    g_i[i] = diag * inv_r;
+    for (std::size_t c = i + 1; c < n; ++c) g.at(c, i) = g_i[c];
+  }
+  return g;
+}
+
 std::vector<double> solve_linear(DenseMatrix a, std::vector<double> b) {
   const std::size_t n = a.rows();
   MW_REQUIRE(b.size() == n, "rhs size must match matrix size");

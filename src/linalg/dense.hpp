@@ -1,6 +1,9 @@
-// Small dense linear algebra: row-major matrices and Gaussian elimination.
-// Used by the exact hitting-time and exact cover-time solvers on small
-// graphs; not intended for large n.
+// Small dense linear algebra: row-major matrices, Gaussian elimination, and
+// the Cholesky inverse of a symmetric positive-definite matrix. Used by the
+// exact solvers on small graphs: all-pairs hitting times invert the grounded
+// Laplacian with spd_inverse (Tetali's formula then gives every h(i, j));
+// single-target hitting and cover times use Gaussian elimination. Not
+// intended for large n.
 #pragma once
 
 #include <cstddef>
@@ -45,5 +48,12 @@ std::vector<double> solve_linear(DenseMatrix a, std::vector<double> b);
 
 /// Solves A X = B for several right-hand sides at once (B columns).
 DenseMatrix solve_linear_multi(DenseMatrix a, DenseMatrix b);
+
+/// Inverse of a symmetric positive-definite A from one Cholesky
+/// factorization A = R^T R (about n^3 flops; zero entries of R are skipped,
+/// so banded matrices cost about n^2 times the bandwidth). Only the upper
+/// triangle of A is read. Throws std::invalid_argument on a pivot <= 1e-12,
+/// i.e. when A is not (numerically) positive definite.
+DenseMatrix spd_inverse(DenseMatrix a);
 
 }  // namespace manywalks

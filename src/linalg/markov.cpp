@@ -17,21 +17,28 @@ std::vector<double> stationary_distribution(const Graph& g) {
   return pi;
 }
 
-void evolve_distribution(const Graph& g, const std::vector<double>& in,
-                         std::vector<double>& out, double laziness) {
+namespace {
+
+/// evolve_distribution with caller-owned scratch for the per-vertex share
+/// in(u)/deg(u), computed once per step instead of once per arc.
+void evolve_with_scratch(const Graph& g, const std::vector<double>& in,
+                         std::vector<double>& out, double laziness,
+                         std::vector<double>& share) {
   const Vertex n = g.num_vertices();
   MW_REQUIRE(in.size() == n, "distribution size mismatch");
   MW_REQUIRE(&in != &out, "evolve_distribution needs distinct buffers");
   MW_REQUIRE(laziness >= 0.0 && laziness < 1.0, "laziness must be in [0,1)");
+  share.resize(n);
+  for (Vertex u = 0; u < n; ++u) {
+    share[u] = in[u] / static_cast<double>(g.degree(u));
+  }
   out.assign(n, 0.0);
   // Push mass along arcs: each arc u->v carries in(u)/deg(u). Because the
   // arc multiset is symmetric we can gather over v's rows instead, which is
-  // cache-friendlier: out(v) += in(u)/deg(u) for every arc (v,u).
+  // cache-friendlier: out(v) += share(u) for every arc (v,u).
   for (Vertex v = 0; v < n; ++v) {
     double acc = 0.0;
-    for (Vertex u : g.neighbors(v)) {
-      acc += in[u] / static_cast<double>(g.degree(u));
-    }
+    for (Vertex u : g.neighbors(v)) acc += share[u];
     out[v] = acc;
   }
   if (laziness > 0.0) {
@@ -39,6 +46,14 @@ void evolve_distribution(const Graph& g, const std::vector<double>& in,
       out[v] = laziness * in[v] + (1.0 - laziness) * out[v];
     }
   }
+}
+
+}  // namespace
+
+void evolve_distribution(const Graph& g, const std::vector<double>& in,
+                         std::vector<double>& out, double laziness) {
+  std::vector<double> share;
+  evolve_with_scratch(g, in, out, laziness, share);
 }
 
 double l1_distance(const std::vector<double>& a, const std::vector<double>& b) {
@@ -81,6 +96,7 @@ MixingResult mixing_time(const Graph& g, const MixingOptions& options) {
   result.converged = true;
   std::vector<double> current(n);
   std::vector<double> next(n);
+  std::vector<double> share(n);
   for (Vertex source : sources) {
     MW_REQUIRE(source < n, "mixing source out of range");
     current.assign(n, 0.0);
@@ -88,7 +104,7 @@ MixingResult mixing_time(const Graph& g, const MixingOptions& options) {
     std::uint64_t t = 0;
     bool done = l1_distance(current, pi) < options.threshold;
     while (!done && t < options.max_steps) {
-      evolve_distribution(g, current, next, options.laziness);
+      evolve_with_scratch(g, current, next, options.laziness, share);
       current.swap(next);
       ++t;
       done = l1_distance(current, pi) < options.threshold;

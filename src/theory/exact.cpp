@@ -5,10 +5,35 @@
 #include <cmath>
 
 #include "graph/properties.hpp"
-#include "linalg/markov.hpp"
 #include "util/check.hpp"
 
 namespace manywalks {
+
+namespace {
+
+/// Row of vertex w != ground in the Laplacian grounded at `ground`.
+std::size_t grounded_row(Vertex w, Vertex ground) {
+  return w < ground ? w : w - 1;
+}
+
+/// Laplacian of the unit-resistor network with `ground` deleted. Loop arcs
+/// carry no current and are skipped; parallel arcs count once each.
+DenseMatrix grounded_laplacian(const Graph& g, Vertex ground) {
+  const Vertex n = g.num_vertices();
+  DenseMatrix lap(n - 1, n - 1, 0.0);
+  for (Vertex w = 0; w < n; ++w) {
+    if (w == ground) continue;
+    const std::size_t r = grounded_row(w, ground);
+    for (Vertex x : g.neighbors(w)) {
+      if (x == w) continue;
+      lap.at(r, r) += 1.0;
+      if (x != ground) lap.at(r, grounded_row(x, ground)) -= 1.0;
+    }
+  }
+  return lap;
+}
+
+}  // namespace
 
 std::vector<double> hitting_times_to(const Graph& g, Vertex target) {
   const Vertex n = g.num_vertices();
@@ -49,22 +74,29 @@ DenseMatrix hitting_time_matrix(const Graph& g) {
   MW_REQUIRE(is_connected(g), "hitting times need a connected graph");
   MW_REQUIRE(n >= 2, "need at least two vertices");
 
-  const std::vector<double> pi = stationary_distribution(g);
-  // M = I - P + 1 pi^T  (nonsingular for irreducible chains).
-  DenseMatrix m(n, n, 0.0);
-  for (Vertex v = 0; v < n; ++v) {
-    m.at(v, v) += 1.0;
-    const double w = 1.0 / static_cast<double>(g.degree(v));
-    for (Vertex u : g.neighbors(v)) m.at(v, u) -= w;
-    for (Vertex u = 0; u < n; ++u) m.at(v, u) += pi[u];
+  // Column j of H solves L h = d - 2m e_j with h(j) = 0, and d - 2m e_j sums
+  // to zero, so any generalized inverse G of L gives (Tetali)
+  //   h(i, j) = 2m (G(j,j) - G(i,j)) + u(i) - u(j),  u = G d.
+  // G is the inverse of L grounded at n-1 (so vertex i is row i), padded
+  // with a zero row and column for the ground.
+  const Vertex ground = n - 1;
+  const DenseMatrix g_inv = spd_inverse(grounded_laplacian(g, ground));
+  const auto green = [&g_inv, ground](Vertex i, Vertex j) {
+    return i == ground || j == ground ? 0.0 : g_inv.at(i, j);
+  };
+  std::vector<double> u(n, 0.0);
+  for (Vertex i = 0; i < ground; ++i) {
+    double acc = 0.0;
+    for (Vertex k = 0; k < ground; ++k) acc += g_inv.at(i, k) * g.degree(k);
+    u[i] = acc;
   }
-  const DenseMatrix z = solve_linear_multi(std::move(m), DenseMatrix::identity(n));
+  const double two_m = static_cast<double>(g.num_arcs());
 
   DenseMatrix h(n, n, 0.0);
   for (Vertex i = 0; i < n; ++i) {
     for (Vertex j = 0; j < n; ++j) {
       if (i == j) continue;
-      h.at(i, j) = (z.at(j, j) - z.at(i, j)) / pi[j];
+      h.at(i, j) = two_m * (green(j, j) - green(i, j)) + u[i] - u[j];
     }
   }
   return h;
@@ -421,31 +453,13 @@ double effective_resistance(const Graph& g, Vertex u, Vertex v) {
              "effective_resistance needs distinct vertices");
   MW_REQUIRE(is_connected(g), "effective_resistance needs a connected graph");
 
-  // Reduced Laplacian with v grounded; unit current injected at u.
-  std::vector<Vertex> to_sub(n, kInvalidVertex);
-  std::vector<Vertex> from_sub;
-  from_sub.reserve(n - 1);
-  for (Vertex w = 0; w < n; ++w) {
-    if (w == v) continue;
-    to_sub[w] = static_cast<Vertex>(from_sub.size());
-    from_sub.push_back(w);
-  }
-  const std::size_t m = n - 1;
-  DenseMatrix lap(m, m, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    const Vertex w = from_sub[r];
-    double diag = 0.0;
-    for (Vertex x : g.neighbors(w)) {
-      if (x == w) continue;  // loops carry no current
-      diag += 1.0;
-      if (x != v) lap.at(r, to_sub[x]) -= 1.0;
-    }
-    lap.at(r, r) += diag;
-  }
-  std::vector<double> rhs(m, 0.0);
-  rhs[to_sub[u]] = 1.0;
-  const std::vector<double> potential = solve_linear(std::move(lap), std::move(rhs));
-  return potential[to_sub[u]];
+  // Unit current injected at u with v grounded.
+  const std::size_t row_u = grounded_row(u, v);
+  std::vector<double> rhs(n - 1, 0.0);
+  rhs[row_u] = 1.0;
+  const std::vector<double> potential =
+      solve_linear(grounded_laplacian(g, v), std::move(rhs));
+  return potential[row_u];
 }
 
 }  // namespace manywalks

@@ -21,10 +21,13 @@ namespace manywalks {
 /// connected graph.
 std::vector<double> hitting_times_to(const Graph& g, Vertex target);
 
-/// All-pairs hitting times via the fundamental matrix
-/// Z = (I - P + 1 pi^T)^{-1}:  h(i, j) = (Z(j,j) - Z(i,j)) / pi(j).
-/// One O(n^3) inversion for all n^2 values; valid for any connected graph
-/// (including periodic chains). Entry (i,i) is 0.
+/// All-pairs hitting times from the grounded-Laplacian Cholesky inverse and
+/// Tetali's formula: with G the inverse of the Laplacian L grounded at
+/// vertex n-1 (zero row/column there) and u = G deg,
+///   h(i, j) = num_arcs() (G(j,j) - G(i,j)) + u(i) - u(j).
+/// One symmetric O(n^3) factorization for all n^2 values; valid for any
+/// connected graph (including periodic chains, loops and parallel edges).
+/// Entry (i,i) is 0.
 DenseMatrix hitting_time_matrix(const Graph& g);
 
 struct HittingExtremes {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace manywalks {
 namespace {
 
@@ -116,6 +118,36 @@ TEST(SolveLinearMulti, InverseTimesMatrixIsIdentity) {
   const DenseMatrix inv = solve_linear_multi(a, DenseMatrix::identity(3));
   const DenseMatrix prod = a.multiply(inv);
   EXPECT_LT(prod.max_abs_diff(DenseMatrix::identity(3)), 1e-10);
+}
+
+TEST(SpdInverse, MatchesGaussianEliminationOnRandomSpd) {
+  // A = B^T B + n I is symmetric positive definite and well conditioned.
+  const std::size_t n = 40;
+  Rng rng(0x5bd1ULL);
+  DenseMatrix b(n, n);
+  for (double& x : b.data()) x = rng.uniform01() - 0.5;
+  DenseMatrix a(n, n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      double acc = r == c ? static_cast<double>(n) : 0.0;
+      for (std::size_t k = 0; k < n; ++k) acc += b.at(k, r) * b.at(k, c);
+      a.at(r, c) = acc;
+    }
+  }
+  const DenseMatrix inv = spd_inverse(a);
+  EXPECT_LT(inv.max_abs_diff(solve_linear_multi(a, DenseMatrix::identity(n))),
+            1e-12);
+  EXPECT_LT(a.multiply(inv).max_abs_diff(DenseMatrix::identity(n)), 1e-12);
+}
+
+TEST(SpdInverse, IndefiniteThrows) {
+  DenseMatrix a(2, 2);
+  a.at(0, 0) = 1;
+  a.at(0, 1) = 2;
+  a.at(1, 0) = 2;
+  a.at(1, 1) = 1;  // eigenvalues 3 and -1
+  EXPECT_THROW(spd_inverse(a), std::invalid_argument);
+  EXPECT_THROW(spd_inverse(DenseMatrix(2, 3, 1.0)), std::invalid_argument);
 }
 
 TEST(SolveLinear, DimensionMismatchThrows) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "core/families.hpp"
 #include "graph/generators.hpp"
 #include "theory/closed_forms.hpp"
 
@@ -49,23 +51,66 @@ TEST(HittingTimesTo, StarClosedForm) {
   EXPECT_NEAR(to_leaf[2], 2.0 * n - 2.0, 1e-8);
 }
 
+/// Checks column `target` of the all-pairs matrix against the independent
+/// (I - Q) elimination of hitting_times_to, relative to the exact value.
+void expect_column_matches(const Graph& g, const DenseMatrix& h, Vertex target,
+                           double rel_tol) {
+  const auto column = hitting_times_to(g, target);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_NEAR(h.at(v, target), column[v],
+                rel_tol * std::max(1.0, column[v]))
+        << "v=" << v << " target=" << target;
+  }
+}
+
 TEST(HittingTimeMatrix, AgreesWithSingleTargetSolves) {
-  for (const Graph& g : {make_cycle(8), make_barbell(9), make_star(6),
-                         make_grid_2d(3, GridTopology::kOpen)}) {
+  // Loops (complete with loops), loops plus parallel edges (Margulis) and an
+  // ill-conditioned Theta(n^3) instance (lollipop) alongside simple graphs.
+  for (const Graph& g :
+       {make_cycle(8), make_barbell(9), make_star(6),
+        make_grid_2d(3, GridTopology::kOpen),
+        make_complete(12, /*with_self_loops=*/true),
+        make_margulis_expander(4), make_lollipop(18)}) {
     const DenseMatrix h = hitting_time_matrix(g);
     for (Vertex target : {Vertex{0}, static_cast<Vertex>(g.num_vertices() / 2)}) {
-      const auto column = hitting_times_to(g, target);
-      for (Vertex v = 0; v < g.num_vertices(); ++v) {
-        EXPECT_NEAR(h.at(v, target), column[v], 1e-6)
-            << "v=" << v << " target=" << target;
-      }
+      expect_column_matches(g, h, target, 1e-9);
     }
   }
 }
 
+TEST(HittingTimeMatrix, AgreesAtTableOneSizes) {
+  // The experiments' own instances (n from 256 to 343), including the
+  // column of the h_max pair.
+  for (GraphFamily family : table1_families()) {
+    const FamilyInstance inst = make_family_instance(family, 256);
+    const Graph& g = inst.graph;
+    const DenseMatrix h = hitting_time_matrix(g);
+    const HittingExtremes ext = hitting_extremes(h);
+    SCOPED_TRACE(inst.name);
+    for (Vertex target : {Vertex{0}, static_cast<Vertex>(g.num_vertices() / 2),
+                          ext.argmax_to}) {
+      expect_column_matches(g, h, target, 1e-9);
+    }
+  }
+}
+
+TEST(HittingTimeMatrix, ClosedFormsAtExperimentSizes) {
+  const auto expect_rel = [](double got, double want) {
+    EXPECT_NEAR(got, want, 1e-9 * want);
+  };
+  const auto h_max = [](const Graph& g) {
+    return hitting_extremes(hitting_time_matrix(g)).h_max;
+  };
+  expect_rel(h_max(make_cycle(257)), (257.0 * 257.0 - 1.0) / 4.0);
+  expect_rel(h_max(make_cycle(256)), 256.0 * 256.0 / 4.0);
+  expect_rel(h_max(make_complete(256)), 255.0);
+  expect_rel(h_max(make_star(256)), 2.0 * 256.0 - 2.0);
+  expect_rel(hitting_time_matrix(make_path(200)).at(0, 199), 199.0 * 199.0);
+}
+
 TEST(HittingTimeMatrix, WorksOnPeriodicChains) {
-  // Even cycle: the chain is periodic, but the fundamental-matrix formula
-  // must still produce the d(n-d) values.
+  // Even cycle: the chain is periodic, but the Laplacian formula must still
+  // produce the d(n-d) values.
   const Vertex n = 8;
   const DenseMatrix h = hitting_time_matrix(make_cycle(n));
   for (Vertex v = 1; v < n; ++v) {
