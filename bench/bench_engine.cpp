@@ -191,10 +191,11 @@ double timed_rounds(Engine& engine, std::span<const Vertex> starts,
 // BENCH_scale: strong scaling of ONE sharded cover run (determinism
 // contract v3). The acceptance instance is the 10^6-vertex 8-regular
 // expander at k = 2^12: threads=1 runs the serial lane path, threads>1 a
-// ThreadPool(threads-1) worker team over 16 lane shards. The round counts
-// MUST be identical across thread counts (thread-invariance is part of the
-// contract, checked here on every run, guard or not); the guard addition-
-// ally gates the 4-thread/1-thread steps/s ratio.
+// team of `threads` workers (the caller plus a ThreadPool(threads-1)),
+// each walking one contiguous lane block into its own bitmap. The round
+// counts MUST be identical across thread counts (thread-invariance is part
+// of the contract, checked here on every run, guard or not); the guard
+// additionally gates the 4-thread/1-thread steps/s ratio.
 // ---------------------------------------------------------------------------
 
 struct ScaleRow {
@@ -222,14 +223,14 @@ std::vector<ScaleRow> run_scale() {
               "steps/s", "vs 1t");
   std::vector<ScaleRow> rows;
   using clock = std::chrono::steady_clock;
-  for (const unsigned threads : {1u, 2u, 4u}) {
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
     ScaleRow row;
     row.threads = threads;
     std::unique_ptr<ThreadPool> pool;
     CoverOptions opt;
     if (threads > 1) {
       pool = std::make_unique<ThreadPool>(threads - 1);
-      row.lane_shards = 16;
+      row.lane_shards = threads;
       opt.lane_shards = row.lane_shards;
       opt.shard_pool = pool.get();
     }

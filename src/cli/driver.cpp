@@ -173,8 +173,9 @@ int run_experiment_main(std::string_view name, int argc, char** argv) {
   }
   if (has_extra(info, ExtraParam::kLaneShards)) {
     parser.add_option("lane-shards", &params.lane_shards,
-                      "lane shards per cover trial (0 = thread-budget "
-                      "policy; any value yields identical results)");
+                      "cap on the workers sharing one cover trial's lanes "
+                      "(0 = thread-budget policy; any value yields "
+                      "identical results)");
   }
   if (has_extra(info, ExtraParam::kBlockWalk)) {
     parser.add_flag("block-walk", &params.block_walk,

@@ -10,6 +10,7 @@
 
 #include "cli/presets.hpp"
 #include "cli/registry.hpp"
+#include "mc/estimators.hpp"
 #include "mc/monte_carlo.hpp"
 #include "util/check.hpp"
 #include "walk/cover_types.hpp"
@@ -78,23 +79,19 @@ inline void push_param(ExperimentResult& result, std::string name,
 
 /// Echoes the thread-budget decision for the experiment's headline
 /// (largest-k) estimate: the resolved "parallelism" mode ("trials" or
-/// "lanes") and the "lane_shards" count the sharded engine uses there
-/// (0 = serial lane kernel). Applies the same pure rules as
-/// apply_thread_budget / auto_lane_shards, so the echo matches what the
+/// "lanes") and the "lane_shards" cap the sharded engine uses there
+/// (0 = serial lane kernel, clamped to the lane count). Asks
+/// apply_thread_budget on copies of the options, so the echo is what the
 /// estimators actually do for that estimate.
 inline void push_parallelism_params(ExperimentResult& result,
-                                    const CoverOptions& cover,
+                                    CoverOptions cover,
                                     std::uint64_t max_trials,
-                                    std::size_t lanes, unsigned pool_threads) {
-  const McParallelism mode =
-      cover.lane_shards > 0
-          ? McParallelism::kLanes
-          : choose_parallelism(max_trials, lanes, pool_threads);
-  const unsigned shards =
-      cover.lane_shards > 0
-          ? static_cast<unsigned>(std::min<std::size_t>(
-                cover.lane_shards, std::max<std::size_t>(lanes, 1)))
-          : (mode == McParallelism::kLanes ? auto_lane_shards(lanes) : 0);
+                                    std::size_t lanes, ThreadPool& pool) {
+  McOptions mc;
+  mc.max_trials = max_trials;
+  const McParallelism mode = apply_thread_budget(lanes, &pool, mc, cover);
+  const std::size_t shards =
+      std::min<std::size_t>(cover.lane_shards, std::max<std::size_t>(lanes, 1));
   push_param(result, "parallelism", std::string(parallelism_name(mode)));
   push_param(result, "lane_shards", static_cast<std::uint64_t>(shards));
 }

@@ -112,7 +112,7 @@ ExperimentResult run_giant_cycle(const ExperimentParams& params,
   push_common_params(result, seed, params.full, n64, trials, pool.size());
   push_param(result, "kmax", k_limit);
   push_param(result, "target", static_cast<std::uint64_t>(target));
-  push_parallelism_params(result, cover, mc.max_trials, k_limit, pool.size());
+  push_parallelism_params(result, cover, mc.max_trials, k_limit, pool);
   result.preamble.push_back(memory_model_line(n64, /*degree=*/2));
   result.tables.push_back(speedup_table(
       "speedup",
@@ -168,7 +168,7 @@ ExperimentResult run_giant_torus(const ExperimentParams& params,
   push_param(result, "side", static_cast<std::uint64_t>(side));
   push_param(result, "kmax", k_limit);
   push_param(result, "target", static_cast<std::uint64_t>(target));
-  push_parallelism_params(result, cover, mc.max_trials, k_limit, pool.size());
+  push_parallelism_params(result, cover, mc.max_trials, k_limit, pool);
   result.preamble.push_back(memory_model_line(n, /*degree=*/4));
   result.tables.push_back(speedup_table(
       "speedup",

@@ -347,8 +347,7 @@ ExperimentResult run_mwg_speedup_on_substrate(const CsrSubstrate& substrate,
   push_param(result, "start", static_cast<std::uint64_t>(start));
   push_param(result, "kmax", k_limit);
   push_param(result, "target", static_cast<std::uint64_t>(target));
-  push_parallelism_params(result, cover_run, mc.max_trials, k_limit,
-                          pool.size());
+  push_parallelism_params(result, cover_run, mc.max_trials, k_limit, pool);
   result.preamble.push_back(substrate_preamble(substrate, source));
   result.tables.push_back(speedup_table(source, start, target, n, curve));
   result.notes = speedup_notes();
@@ -412,7 +411,7 @@ ExperimentResult run_mwg_starts_on_substrate(const CsrSubstrate& substrate,
   push_param(result, "graph", source);
   push_param(result, "start", static_cast<std::uint64_t>(start));
   push_param(result, "k", static_cast<std::uint64_t>(k));
-  push_parallelism_params(result, cover_run, mc.max_trials, k, pool.size());
+  push_parallelism_params(result, cover_run, mc.max_trials, k, pool);
   result.preamble.push_back(substrate_preamble(substrate, source));
   result.tables.push_back(
       starts_table(source, k, start, same, stationary, uniform));

@@ -89,7 +89,8 @@ std::uint64_t resolve_target(const ExperimentPreset& preset,
 
 McOptions preset_mc(std::uint64_t trials) {
   McOptions mc;
-  mc.min_trials = std::max<std::uint64_t>(trials / 4, 8);
+  mc.min_trials =
+      std::min<std::uint64_t>(std::max<std::uint64_t>(trials / 4, 8), trials);
   mc.max_trials = trials;
   return mc;
 }

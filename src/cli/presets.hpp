@@ -49,7 +49,7 @@ std::uint64_t resolve_target(const ExperimentPreset& preset,
                              const ExperimentParams& params);
 
 /// The drivers' common Monte-Carlo knob: max_trials = trials,
-/// min_trials = max(trials / 4, 8).
+/// min_trials = min(max(trials / 4, 8), trials).
 McOptions preset_mc(std::uint64_t trials);
 
 /// ExperimentOptions with the common preset_mc trial policy applied.

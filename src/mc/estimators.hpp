@@ -23,15 +23,18 @@
 namespace manywalks {
 
 /// The thread-budget arbitration applied by every cover estimator before it
-/// enters run_monte_carlo: decides once per estimate whether the pool fans
-/// out over trials (kTrials) or is handed down to the lane-sharded engine
-/// (kLanes), and writes the decision into the option COPIES the estimate
-/// will run with. An explicit CoverOptions::lane_shards pins lane mode;
+/// enters run_monte_carlo, and the only place a lane-shard count is picked:
+/// decides once per estimate whether the pool fans out over trials
+/// (kTrials) or is handed down to the lane-sharded engine (kLanes), and
+/// writes the decision into the option COPIES the estimate will run with.
+/// An explicit CoverOptions::lane_shards pins lane mode and is kept as is;
 /// otherwise choose_parallelism decides from the trial budget, the lane
-/// count, and the pool width. Returns the decision so call sites can report
-/// it. The estimators own CoverOptions::shard_pool — it is overwritten here
-/// (pool under kLanes, null under kTrials); callers wanting manual control
-/// of the engine's pool should use the cover.hpp samplers directly.
+/// count, and the pool width, and kLanes writes auto_lane_shards(lanes).
+/// kTrials leaves lane_shards 0. Either way shard_pool is overwritten (pool
+/// under kLanes, null under kTrials). A second call on the written options
+/// changes nothing. Returns the decision so call sites can report it;
+/// callers wanting manual control of the engine's pool should use the
+/// cover.hpp samplers directly.
 inline McParallelism apply_thread_budget(std::size_t lanes, ThreadPool* pool,
                                          McOptions& mc, CoverOptions& cover) {
   const unsigned pool_threads = pool != nullptr ? pool->size() : 0;
@@ -39,8 +42,12 @@ inline McParallelism apply_thread_budget(std::size_t lanes, ThreadPool* pool,
       cover.lane_shards > 0
           ? McParallelism::kLanes
           : choose_parallelism(mc.max_trials, lanes, pool_threads);
+  const bool sharded = mode == McParallelism::kLanes;
   mc.parallelism = mode;
-  cover.shard_pool = mode == McParallelism::kLanes ? pool : nullptr;
+  if (sharded && cover.lane_shards == 0) {
+    cover.lane_shards = auto_lane_shards(lanes);
+  }
+  cover.shard_pool = sharded ? pool : nullptr;
   return mode;
 }
 

@@ -32,7 +32,8 @@ enum class McParallelism : std::uint8_t {
 /// The thread-budget arbitration: many short trials keep trial-level
 /// parallelism (it already saturates the pool with zero synchronization);
 /// few long trials at large k hand the pool to the lane-sharded engine.
-/// Pure in its arguments, so call sites can report the decision.
+/// Pure in its arguments. Its one caller is apply_thread_budget
+/// (mc/estimators.hpp), which also picks the shard count.
 McParallelism choose_parallelism(std::uint64_t max_trials, std::size_t lanes,
                                  unsigned pool_threads) noexcept;
 

@@ -73,7 +73,7 @@ void parallel_for(ThreadPool& pool, std::uint64_t begin, std::uint64_t end,
 /// runs chunk 0). Unlike parallel_for there is no dynamic work stealing:
 /// which indices share an executor is a pure function of (count,
 /// pool.size()), which is what the sharded walk engine needs to pin one
-/// long-lived worker per lane shard. Exceptions from the body propagate to
+/// long-lived worker per lane block. Exceptions from the body propagate to
 /// the caller (the first one in chunk order).
 void parallel_for_static(ThreadPool& pool, std::uint64_t count,
                          const std::function<void(std::uint64_t)>& body);

@@ -12,12 +12,11 @@ namespace manywalks {
 
 class ThreadPool;  // util/thread_pool.hpp
 
-/// The automatic shard count for a k-lane trial: a pure function of k (and
-/// nothing else — NOT the thread count, NOT the pool size), so the shard
-/// cut and therefore every result is invariant under --threads
-/// (determinism contract v3). One shard per 256 lanes keeps per-shard
-/// rounds long enough to amortize the round barrier; 32 caps the merge
-/// width and the S·n/8-byte shard scratch.
+/// The lane-shard count the thread-budget planner (apply_thread_budget in
+/// mc/estimators.hpp) writes for a k-lane trial it puts in lanes mode: one
+/// worker per 256 lanes, at most 32. The per-worker rounds stay long
+/// enough to amortize the round barrier, and 32 caps the merge width and
+/// the team·n/8-byte tracker scratch.
 constexpr unsigned auto_lane_shards(std::size_t lanes) noexcept {
   return std::clamp<unsigned>(static_cast<unsigned>(lanes / 256), 1u, 32u);
 }
@@ -28,15 +27,15 @@ struct CoverOptions {
   /// Safety cap on rounds; a sample that reaches the cap reports
   /// covered=false with steps=step_cap.
   std::uint64_t step_cap = std::numeric_limits<std::uint64_t>::max();
-  /// Lane-sharding plan (determinism contract v3). 0 with a null
-  /// shard_pool = serial unsharded; 0 with a pool = auto_lane_shards(k);
-  /// >= 1 pins the shard count (1 still routes through the sharded
-  /// driver — the golden-test configuration). The RESULT is identical in
-  /// every case; only the schedule changes.
+  /// Lane-sharding plan (determinism contract v3). 0 = the serial lane
+  /// path; >= 1 = the sharded round driver with a team of at most this
+  /// many workers (1 still routes through the driver — the golden-test
+  /// configuration). The RESULT is identical in every case; only the
+  /// schedule changes.
   unsigned lane_shards = 0;
-  /// Worker team for the sharded round driver: the engine runs shards on
-  /// min(shard_pool->size()+1, shards) executors (the calling thread
-  /// participates). Null = shards run inline on the caller. Not owned.
+  /// Worker pool for the sharded round driver: the team is
+  /// min(lane_shards, k, shard_pool->size()+1) executors (the calling
+  /// thread participates). Null = a team of one, the caller. Not owned.
   ThreadPool* shard_pool = nullptr;
 };
 

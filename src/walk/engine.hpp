@@ -336,14 +336,12 @@ class WalkEngineT {
     }
     if (options.step_cap == 0) return sample;  // no rounds, no draws
     ensure_lanes(rng);
-    if (const unsigned shards = resolved_lane_shards(options); shards > 0) {
-      // Determinism contract v3: the sharded driver is byte-identical to
-      // the serial lane path for every shard/thread count (lane
-      // trajectories are pure functions of the per-token streams and the
-      // visited set is a schedule-invariant union).
+    if (options.lane_shards > 0) {
+      // Determinism contract v3: the sharded driver is bit-identical to
+      // the serial lane path for every team size.
       sample = options.laziness > 0.0
-                   ? run_until_visited_sharded<true>(target, options, shards)
-                   : run_until_visited_sharded<false>(target, options, shards);
+                   ? run_until_visited_sharded<true>(target, options)
+                   : run_until_visited_sharded<false>(target, options);
     } else {
       sample = options.laziness > 0.0
                    ? run_until_visited_lane<true>(target, options)
@@ -481,75 +479,40 @@ class WalkEngineT {
 
   // --- sharded round driver (determinism contract v3) -----------------------
   //
-  // Lanes are cut into `shards` contiguous blocks, shard s = lanes
-  // [s·k/S, (s+1)·k/S) — a pure function of (k, S), and S itself is a pure
-  // function of the CoverOptions plan (never of the pool size), so the
-  // schedule assigns the SAME lanes the SAME streams for every thread
-  // count. Each round, every shard advances its lanes with the serial lane
-  // kernels into its own ShardedVisitTracker bitmap; the round barrier
-  // then publishes the per-shard counts and every worker replicates the
-  // cover decision from shared state, so all of them take the same branch
-  // without a coordinator.
+  // The team is min(lane_shards, k, pool size + 1) executors: the caller
+  // plus team-1 pool workers. Worker w walks the contiguous lanes
+  // [w·k/team, (w+1)·k/team) with the serial lane kernels into its own
+  // ShardedVisitTracker bitmap. Each round the barrier publishes the
+  // per-worker counts and every worker replicates the cover decision from
+  // shared state, so all of them take the same branch without a
+  // coordinator. A failing worker poisons the barrier so the rest of the
+  // team exits instead of deadlocking, and its exception is rethrown on
+  // the caller.
 
-  /// First lane of shard s when k lanes split into `shards` blocks.
-  static std::size_t shard_lane_begin(std::size_t k, unsigned shards,
-                                      unsigned s) {
-    return static_cast<std::size_t>(static_cast<std::uint64_t>(s) * k /
-                                    shards);
-  }
-
-  /// The shard count this run uses; 0 = stay on the serial lane path.
-  /// Explicit lane_shards is honored verbatim (clamped to k; 1 still
-  /// exercises the sharded driver — the golden-test configuration);
-  /// automatic sharding engages only when a team pool was supplied and k
-  /// warrants >= 2 shards. The count is never derived from the pool SIZE
-  /// (contract v3's thread-invariance), though sharding never changes
-  /// results either way.
-  unsigned resolved_lane_shards(const CoverOptions& options) const {
-    const std::size_t k = tokens_.size();
-    unsigned shards = options.lane_shards;
-    if (shards == 0) {
-      if (options.shard_pool == nullptr) return 0;
-      shards = auto_lane_shards(k);
-      if (shards <= 1) return 0;  // one shard = the serial path, minus merge
-    }
-    return static_cast<unsigned>(std::min<std::size_t>(shards, k));
-  }
-
-  ShardedVisitTracker& ensure_sharded_scratch(unsigned shards) {
-    if (sharded_scratch_ == nullptr ||
-        sharded_scratch_->num_shards() != shards) {
+  ShardedVisitTracker& ensure_sharded_scratch(unsigned team) {
+    if (sharded_scratch_ == nullptr || sharded_scratch_->num_shards() != team) {
       sharded_scratch_ =
-          std::make_unique<ShardedVisitTracker>(num_vertices_, shards);
+          std::make_unique<ShardedVisitTracker>(num_vertices_, team);
     }
     return *sharded_scratch_;
   }
 
-  /// The worker team is the caller plus at most team-1 pool workers,
-  /// pinned to contiguous shard blocks via parallel_for_static. A failing
-  /// worker poisons the barrier so the rest of the team exits instead of
-  /// deadlocking, and its exception is rethrown on the caller.
   template <bool kLazy>
   CoverSample run_until_visited_sharded(Vertex target,
-                                        const CoverOptions& options,
-                                        unsigned shards) {
-    ShardedVisitTracker& trk = ensure_sharded_scratch(shards);
-    trk.reset();
-    trk.seed_merged(tracker_.words(), tracker_.num_visited());
-
+                                        const CoverOptions& options) {
     const S substrate = substrate_;
     Vertex* const toks = tokens_.data();
     Rng* const rngs = lane_rngs_.data();
     const std::size_t k = tokens_.size();
     const double laziness = options.laziness;
-    const std::size_t wps = trk.words_per_shard();
 
     ThreadPool* const pool = options.shard_pool;
-    const auto team =
-        pool == nullptr
-            ? 1u
-            : static_cast<unsigned>(
-                  std::min<std::uint64_t>(pool->size() + 1, shards));
+    const auto team = static_cast<unsigned>(std::min<std::uint64_t>(
+        {options.lane_shards, k, pool != nullptr ? pool->size() + 1 : 1}));
+    ShardedVisitTracker& trk = ensure_sharded_scratch(team);
+    trk.reset();
+    trk.seed_merged(tracker_.words(), tracker_.num_visited());
+    const std::size_t wps = trk.words_per_shard();
 
     SpinBarrier barrier(team);
     std::vector<Vertex> partials(team, 0);
@@ -565,8 +528,9 @@ class WalkEngineT {
 
     const auto worker = [&](std::uint64_t w) {
       try {
-        const auto shard_begin = static_cast<unsigned>(w * shards / team);
-        const auto shard_end = static_cast<unsigned>((w + 1) * shards / team);
+        const auto slot = static_cast<unsigned>(w);
+        const std::size_t lane_begin = w * k / team;
+        const std::size_t lane_end = (w + 1) * k / team;
         const std::size_t word_begin = w * wps / team;
         const std::size_t word_end = (w + 1) * wps / team;
 
@@ -595,20 +559,16 @@ class WalkEngineT {
             }
           }
           const auto parity = static_cast<unsigned>(t & 1);
-          for (unsigned s = shard_begin; s < shard_end; ++s) {
-            const std::size_t lane_begin = shard_lane_begin(k, shards, s);
-            const std::size_t lane_end = shard_lane_begin(k, shards, s + 1);
-            Vertex shard_visited = trk.shard_visited(s);
-            with_lane_round<kLazy, false>(
-                substrate, toks + lane_begin, rngs + lane_begin,
-                lane_end - lane_begin, laziness, trk.shard_words(s),
-                shard_visited, nullptr, [](auto&& round) { round(); });
-            trk.set_shard_visited(s, shard_visited);
-            // Freeze this round's count BEFORE the barrier: the decision
-            // below must read parity-t data only, never live counters a
-            // fast worker is already bumping in round t+1.
-            trk.publish_shard(parity, s);
-          }
+          Vertex slot_visited = trk.shard_visited(slot);
+          with_lane_round<kLazy, false>(
+              substrate, toks + lane_begin, rngs + lane_begin,
+              lane_end - lane_begin, laziness, trk.shard_words(slot),
+              slot_visited, nullptr, [](auto&& round) { round(); });
+          trk.set_shard_visited(slot, slot_visited);
+          // Freeze this round's count BEFORE the barrier: the decision
+          // below must read parity-t data only, never live counters a
+          // fast worker is already bumping in round t+1.
+          trk.publish_shard(parity, slot);
           if (!barrier.arrive_and_wait()) return;
           // The bound never undercounts the union, so a below-target bound
           // proves the exact merge can be skipped this round; the final
@@ -626,9 +586,7 @@ class WalkEngineT {
           }
           ++merges;
           partials[w] = trk.merge_range(word_begin, word_end);
-          for (unsigned s = shard_begin; s < shard_end; ++s) {
-            trk.snapshot_shard(s);
-          }
+          trk.snapshot_shard(slot);
           if (!barrier.arrive_and_wait()) return;
           std::uint64_t total = 0;
           for (const Vertex partial : partials) total += partial;
@@ -744,8 +702,8 @@ class WalkEngineT {
   LaneRngs lane_rngs_;
   bool lanes_seeded_ = false;
   // Sharded-run scratch, cached across trials (a Monte-Carlo estimate
-  // reruns the same (n, shards) thousands of times; reset() is an O(S·n/64)
-  // fill, reallocation is not).
+  // reruns the same (n, team) thousands of times; reset() is an
+  // O(team·n/64) fill, reallocation is not).
   std::unique_ptr<ShardedVisitTracker> sharded_scratch_;
 };
 

@@ -106,13 +106,13 @@ class WordVisitTracker {
   Vertex num_visited_ = 0;
 };
 
-/// Per-shard word bitmaps plus an index-ordered merge: the visited-set
+/// One word bitmap per team worker plus a merged union: the visited-set
 /// scratch of the sharded round driver (determinism contract v3,
-/// docs/ARCHITECTURE.md). Each lane shard commits visits into its own
-/// private bitmap (reusing the serial lane kernels unchanged — a shard's
-/// words pointer is bit-compatible with WordVisitTracker's), so the round
-/// loop shares no mutable state between shards. Cover detection works on
-/// two levels:
+/// docs/ARCHITECTURE.md). A "shard" here is one worker's slot: the worker
+/// commits its lane block's visits into its own private bitmap (reusing
+/// the serial lane kernels unchanged — a slot's words pointer is
+/// bit-compatible with WordVisitTracker's), so the round loop shares no
+/// mutable state between workers. Cover detection works on two levels:
 ///
 ///   * upper_bound_visited(parity, merged) — the caller's merged count +
 ///     Σ_s (shard bits since that shard's last snapshot) — costs

@@ -7,11 +7,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli/driver.hpp"
 #include "cli/experiments_common.hpp"
 #include "cli/presets.hpp"
 #include "cli/registry.hpp"
@@ -145,6 +147,9 @@ TEST(Registry, PresetResolutionPrefersExplicitFlags) {
   EXPECT_EQ(mc.min_trials, 25u);
   EXPECT_EQ(mc.max_trials, 100u);
   EXPECT_EQ(preset_mc(8).min_trials, 8u);  // floor at 8
+  const McOptions few = preset_mc(3);  // the floor never exceeds the budget
+  EXPECT_EQ(few.min_trials, 3u);
+  EXPECT_EQ(few.max_trials, 3u);
 }
 
 // --- sinks ------------------------------------------------------------------
@@ -356,6 +361,172 @@ TEST(Runners, EveryRegisteredExperimentSmokesAtMinimalSize) {
     }
     EXPECT_FALSE(render_json(result).empty());
   }
+}
+
+// --- the driver -------------------------------------------------------------
+
+/// A strict JSON syntax check (RFC 8259 grammar; no NaN/Infinity): true iff
+/// `text` is exactly one JSON value plus whitespace.
+class JsonChecker {
+ public:
+  explicit JsonChecker(const std::string& text) : s_(text) {}
+  bool valid() {
+    skip_ws();
+    if (!value()) return false;
+    skip_ws();
+    return i_ == s_.size();
+  }
+
+ private:
+  bool value() {
+    if (i_ >= s_.size()) return false;
+    switch (s_[i_]) {
+      case '{': return container('}', true);
+      case '[': return container(']', false);
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+  bool container(char close, bool object) {
+    ++i_;
+    skip_ws();
+    if (peek(close)) {
+      ++i_;
+      return true;
+    }
+    while (true) {
+      skip_ws();
+      if (object) {
+        if (!peek('"') || !string()) return false;
+        skip_ws();
+        if (!peek(':')) return false;
+        ++i_;
+        skip_ws();
+      }
+      if (!value()) return false;
+      skip_ws();
+      if (peek(close)) {
+        ++i_;
+        return true;
+      }
+      if (!peek(',')) return false;
+      ++i_;
+    }
+  }
+  bool string() {
+    for (++i_; i_ < s_.size(); ++i_) {
+      const char c = s_[i_];
+      if (c == '"') {
+        ++i_;
+        return true;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c == '\\') ++i_;  // the escaped character is never the close
+    }
+    return false;
+  }
+  bool literal(const char* word) {
+    const std::string w(word);
+    if (s_.compare(i_, w.size(), w) != 0) return false;
+    i_ += w.size();
+    return true;
+  }
+  bool number() {
+    const std::size_t begin = i_;
+    if (peek('-')) ++i_;
+    if (!digits()) return false;
+    if (peek('.')) {
+      ++i_;
+      if (!digits()) return false;
+    }
+    if (peek('e') || peek('E')) {
+      ++i_;
+      if (peek('+') || peek('-')) ++i_;
+      if (!digits()) return false;
+    }
+    return i_ > begin;
+  }
+  bool digits() {
+    const std::size_t begin = i_;
+    while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') ++i_;
+    return i_ > begin;
+  }
+  bool peek(char c) const { return i_ < s_.size() && s_[i_] == c; }
+  void skip_ws() {
+    while (i_ < s_.size() &&
+           (s_[i_] == ' ' || s_[i_] == '\n' || s_[i_] == '\t' ||
+            s_[i_] == '\r')) {
+      ++i_;
+    }
+  }
+
+  const std::string& s_;
+  std::size_t i_ = 0;
+};
+
+TEST(Driver, JsonCheckerAcceptsJsonAndRejectsTheRest) {
+  for (const char* good :
+       {"{}", "[1, -2.5e3, true, null]", R"({"a": {"b": ["\"x"]}})"}) {
+    EXPECT_TRUE(JsonChecker(good).valid()) << good;
+  }
+  for (const char* bad : {"", "{", "[1,]", "{\"a\" 1}", "nan", "[1] x"}) {
+    EXPECT_FALSE(JsonChecker(bad).valid()) << bad;
+  }
+}
+
+struct DriverRun {
+  int exit_code = 0;
+  std::string out;
+  std::string err;
+};
+
+/// `manywalks run <name> <args...>` in process, stdout/stderr captured.
+DriverRun run_driver(const std::string& name, std::vector<std::string> args) {
+  args.insert(args.begin(), name);  // argv[0] slot, as manywalks_main passes
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  std::ostringstream out;
+  std::ostringstream err;
+  std::streambuf* const saved_out = std::cout.rdbuf(out.rdbuf());
+  std::streambuf* const saved_err = std::cerr.rdbuf(err.rdbuf());
+  DriverRun run;
+  run.exit_code =
+      run_experiment_main(name, static_cast<int>(argv.size()), argv.data());
+  std::cout.rdbuf(saved_out);
+  std::cerr.rdbuf(saved_err);
+  run.out = out.str();
+  run.err = err.str();
+  return run;
+}
+
+TEST(Driver, FewTrialsRunToValidJson) {
+  // Under 8 trials the preset's min_trials floor used to exceed the
+  // budget and abort the run. A few long trials are the lanes-mode case.
+  const DriverRun giant = run_driver(
+      "giant-cycle-speedup", {"--trials", "2", "--lane-shards", "2",
+                              "--threads", "3", "--target", "256", "--kmax",
+                              "8", "--format=json"});
+  EXPECT_EQ(giant.exit_code, 0) << giant.err;
+  EXPECT_TRUE(JsonChecker(giant.out).valid()) << giant.out;
+  EXPECT_NE(giant.out.find("\"parallelism\": \"lanes\""), std::string::npos);
+  EXPECT_NE(giant.out.find("\"lane_shards\": 2"), std::string::npos);
+
+  const DriverRun table1 =
+      run_driver("table1_summary", {"--trials", "2", "--format=json"});
+  EXPECT_EQ(table1.exit_code, 0) << table1.err;
+  EXPECT_TRUE(JsonChecker(table1.out).valid()) << table1.out;
+
+  // One trial is valid too: every estimate is reported with an undefined
+  // (null) confidence half-width.
+  const DriverRun one =
+      run_driver("fig_cycle_speedup", {"--trials", "1", "--format=json"});
+  EXPECT_EQ(one.exit_code, 0) << one.err;
+  EXPECT_TRUE(JsonChecker(one.out).valid()) << one.out;
+  EXPECT_NE(one.out.find("\"trials\": 1"), std::string::npos);
+  EXPECT_NE(one.out.find("\"half_width\": null"), std::string::npos);
 }
 
 // --- docs contract ----------------------------------------------------------

@@ -308,40 +308,85 @@ TEST(CoverSamplers, InterleavedGraphsStayDeterministic) {
   }
 }
 
+/// What a cover run leaves behind in an engine: its tokens and visited set,
+/// before and after a follow-up run_for_steps burst (which reads the lane
+/// RNG states the cover run left).
+struct EngineState {
+  std::vector<Vertex> tokens;
+  std::vector<bool> visited;
+  std::vector<Vertex> tokens_after_burst;
+  std::vector<bool> visited_after_burst;
+};
+
+EngineState capture_with_burst(WalkEngine& engine, const Graph& g) {
+  const auto visited_set = [&] {
+    std::vector<bool> bits(g.num_vertices());
+    for (Vertex v = 0; v < g.num_vertices(); ++v) bits[v] = engine.visited(v);
+    return bits;
+  };
+  EngineState state;
+  state.tokens.assign(engine.tokens().begin(), engine.tokens().end());
+  state.visited = visited_set();
+  Rng unused(0);  // lanes are already seeded; the burst draws nothing here
+  engine.run_for_steps(17, unused);
+  state.tokens_after_burst.assign(engine.tokens().begin(),
+                                  engine.tokens().end());
+  state.visited_after_burst = visited_set();
+  return state;
+}
+
 TEST(WalkEngine, ShardCountAndThreadCountAreInvisible) {
   // Determinism contract v3: for a fixed seed, the sharded round driver
   // must be BIT-identical to the serial lane path — same steps, same
-  // visited count, same visited set — for every shard count, with and
-  // without a worker team.
+  // visited count, same visited set, same tokens and lane streams left
+  // behind — for every shard cap (32 exceeds k), with and without a
+  // worker team. ThreadPool(2) makes a team of 3, which splits 16 lanes
+  // 5/5/6 and 13 lanes 4/4/5.
   constexpr std::uint64_t kMasterSeed = 0xc3ULL;
   ThreadPool pool1(1);
+  ThreadPool pool2(2);
   ThreadPool pool3(3);
   for (const auto& [name, g] : test_instances()) {
     WalkEngine serial(g);
     WalkEngine sharded(g);
-    const std::vector<Vertex> starts(16, 0);
+    std::vector<Vertex> spread(13);
+    for (std::size_t i = 0; i < spread.size(); ++i) {
+      spread[i] = static_cast<Vertex>(i * 7 % g.num_vertices());
+    }
     const auto target = static_cast<Vertex>(g.num_vertices());
-    for (std::uint64_t trial = 0; trial < 8; ++trial) {
-      Rng ref_rng = make_trial_rng(kMasterSeed, trial);
-      serial.reset(starts);
-      const CoverSample expected = serial.run_until_visited(target, ref_rng);
-      for (const unsigned shards : {1u, 2u, 8u}) {
-        for (ThreadPool* pool : {(ThreadPool*)nullptr, &pool1, &pool3}) {
-          CoverOptions opt;
-          opt.lane_shards = shards;
-          opt.shard_pool = pool;
-          Rng rng = make_trial_rng(kMasterSeed, trial);
-          sharded.reset(starts);
-          const CoverSample actual =
-              sharded.run_until_visited(target, rng, opt);
-          ASSERT_EQ(expected.steps, actual.steps)
-              << name << " trial=" << trial << " shards=" << shards
-              << " pool=" << (pool != nullptr);
-          ASSERT_EQ(expected.covered, actual.covered) << name;
-          ASSERT_EQ(serial.num_visited(), sharded.num_visited()) << name;
-          for (Vertex v = 0; v < g.num_vertices(); ++v) {
-            ASSERT_EQ(serial.visited(v), sharded.visited(v))
-                << name << " v=" << v << " shards=" << shards;
+    for (const std::vector<Vertex>& starts :
+         {std::vector<Vertex>(16, 0), spread}) {
+      for (std::uint64_t trial = 0; trial < 8; ++trial) {
+        Rng ref_rng = make_trial_rng(kMasterSeed, trial);
+        serial.reset(starts);
+        const CoverSample expected = serial.run_until_visited(target, ref_rng);
+        const Vertex expected_visited = serial.num_visited();
+        const EngineState expected_state = capture_with_burst(serial, g);
+        for (const unsigned shards : {1u, 2u, 8u, 32u}) {
+          for (ThreadPool* pool :
+               {(ThreadPool*)nullptr, &pool1, &pool2, &pool3}) {
+            SCOPED_TRACE(::testing::Message()
+                         << name << " k=" << starts.size()
+                         << " trial=" << trial << " shards=" << shards
+                         << " executors="
+                         << (pool != nullptr ? pool->size() + 1 : 1));
+            CoverOptions opt;
+            opt.lane_shards = shards;
+            opt.shard_pool = pool;
+            Rng rng = make_trial_rng(kMasterSeed, trial);
+            sharded.reset(starts);
+            const CoverSample actual =
+                sharded.run_until_visited(target, rng, opt);
+            ASSERT_EQ(expected.steps, actual.steps);
+            ASSERT_EQ(expected.covered, actual.covered);
+            ASSERT_EQ(expected_visited, sharded.num_visited());
+            const EngineState state = capture_with_burst(sharded, g);
+            ASSERT_EQ(expected_state.tokens, state.tokens);
+            ASSERT_EQ(expected_state.visited, state.visited);
+            ASSERT_EQ(expected_state.tokens_after_burst,
+                      state.tokens_after_burst);
+            ASSERT_EQ(expected_state.visited_after_burst,
+                      state.visited_after_burst);
           }
         }
       }

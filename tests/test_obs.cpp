@@ -428,6 +428,36 @@ TEST(ObsGolden, ShardedCoverRunIsBitIdenticalUnderFullObservation) {
             0u);
 }
 
+TEST(ObsGolden, PoolWithoutShardCountRunsTheSerialLanePath) {
+  // The engine never picks a shard count itself (apply_thread_budget is the
+  // only chooser): a pool with lane_shards == 0 stays on the serial lane
+  // path, even at a k the planner would shard.
+  discard_pending_scratch();
+  const Graph g = make_margulis_expander(16);  // n = 256, 8-regular
+  constexpr unsigned kK = 512;
+  const std::vector<Vertex> starts(kK, 0);
+  ThreadPool pool(3);
+  CoverOptions opt;
+  opt.shard_pool = &pool;
+  WalkEngine engine(g);
+
+  MetricsRegistry registry;
+  obs::RunObserver observer{&registry, nullptr, nullptr};
+  Rng rng(99);
+  CoverSample sample;
+  {
+    obs::ScopedObserver scoped(&observer);
+    engine.reset(starts);
+    sample = engine.run_until_visited(g.num_vertices(), rng, opt);
+  }
+  obs::drain_thread_counters(registry);
+
+  EXPECT_TRUE(sample.covered);
+  EXPECT_EQ(registry.value(Metric::kRounds), sample.steps);
+  EXPECT_EQ(registry.value(Metric::kMerges), 0u);
+  EXPECT_EQ(registry.value(Metric::kMergeStalls), 0u);
+}
+
 TEST(ObsGolden, BlockEngineExperimentIsByteIdenticalAndTracesTheSchedule) {
   discard_pending_scratch();
   const Graph g = make_grid_2d(24);

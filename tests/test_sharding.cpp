@@ -1,6 +1,6 @@
 // Units for the lane-sharded execution layer (determinism contract v3,
 // docs/ARCHITECTURE.md): the ShardedVisitTracker, the round barrier, the
-// static team partitioner, and the thread-budget policy.
+// static team partitioner, and the thread-budget planner.
 // End-to-end shard/thread invariance of the engine itself lives in
 // tests/test_engine.cpp.
 #include "walk/visit_tracker.hpp"
@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "mc/estimators.hpp"
 #include "mc/monte_carlo.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -230,19 +231,89 @@ TEST(ThreadBudget, AutoLaneShardsIsAPureFunctionOfK) {
   EXPECT_EQ(auto_lane_shards(1u << 20), 32u);  // clamped
 }
 
+/// apply_thread_budget on fresh option copies: the decision it returns
+/// plus the options it wrote.
+struct Plan {
+  McParallelism mode;
+  McOptions mc;
+  CoverOptions cover;
+};
+
+Plan plan(std::uint64_t max_trials, std::size_t lanes, ThreadPool* pool,
+          unsigned pinned_shards = 0) {
+  Plan p{McParallelism::kTrials, {}, {}};
+  p.mc.max_trials = max_trials;
+  p.cover.lane_shards = pinned_shards;
+  p.mode = apply_thread_budget(lanes, pool, p.mc, p.cover);
+  return p;
+}
+
+void expect_trials_plan(const Plan& p) {
+  EXPECT_EQ(p.mode, McParallelism::kTrials);
+  EXPECT_EQ(p.mc.parallelism, McParallelism::kTrials);
+  EXPECT_EQ(p.cover.lane_shards, 0u);
+  EXPECT_EQ(p.cover.shard_pool, nullptr);
+}
+
 TEST(ThreadBudget, ChoosesTrialsWhenTheySaturate) {
-  // No pool: nothing to shard over.
-  EXPECT_EQ(choose_parallelism(1000, 4096, 0), McParallelism::kTrials);
-  EXPECT_EQ(choose_parallelism(1000, 4096, 1), McParallelism::kTrials);
+  // No pool, or a pool of one: nothing to shard over.
+  expect_trials_plan(plan(1000, 4096, nullptr));
+  ThreadPool pool1(1);
+  expect_trials_plan(plan(1000, 4096, &pool1));
   // Plenty of trials per executor: trial-parallel wins regardless of k.
-  EXPECT_EQ(choose_parallelism(1000, 1u << 16, 4), McParallelism::kTrials);
+  ThreadPool pool4(4);
+  expect_trials_plan(plan(1000, 1u << 16, &pool4));
 }
 
 TEST(ThreadBudget, ChoosesLanesForFewLongWideTrials) {
-  // Few trials, wide k: shard the lanes inside each trial.
-  EXPECT_EQ(choose_parallelism(8, 4096, 8), McParallelism::kLanes);
+  ThreadPool pool8(8);
+  // Few trials, wide k: shard the lanes inside each trial, one worker per
+  // 256 lanes.
+  const Plan lanes = plan(8, 4096, &pool8);
+  EXPECT_EQ(lanes.mode, McParallelism::kLanes);
+  EXPECT_EQ(lanes.mc.parallelism, McParallelism::kLanes);
+  EXPECT_EQ(lanes.cover.lane_shards, auto_lane_shards(4096));
+  EXPECT_EQ(lanes.cover.shard_pool, &pool8);
   // Few trials but k too narrow to shard: stay trial-parallel.
-  EXPECT_EQ(choose_parallelism(8, 16, 8), McParallelism::kTrials);
+  expect_trials_plan(plan(8, 16, &pool8));
+}
+
+TEST(ThreadBudget, CallerPinSurvivesAndForcesLanes) {
+  ThreadPool pool4(4);
+  // A pin forces lanes mode even where the policy would pick trials, and
+  // is kept as is (the engine caps the team by k itself).
+  for (const unsigned pin : {1u, 3u, 64u}) {
+    const Plan p = plan(1000, 16, &pool4, pin);
+    EXPECT_EQ(p.mode, McParallelism::kLanes) << pin;
+    EXPECT_EQ(p.cover.lane_shards, pin);
+    EXPECT_EQ(p.cover.shard_pool, &pool4);
+  }
+  // With no pool the pin still routes through the sharded driver inline.
+  const Plan inline_plan = plan(8, 4096, nullptr, 2);
+  EXPECT_EQ(inline_plan.mode, McParallelism::kLanes);
+  EXPECT_EQ(inline_plan.cover.lane_shards, 2u);
+  EXPECT_EQ(inline_plan.cover.shard_pool, nullptr);
+}
+
+TEST(ThreadBudget, SecondCallLeavesThePlanUnchanged) {
+  // mwg-starts plans once, then hands the planned options to an estimator
+  // that plans again with the same lanes and pool.
+  ThreadPool pool4(4);
+  const auto expect_idempotent = [](std::uint64_t max_trials,
+                                    std::size_t lanes, ThreadPool* pool,
+                                    unsigned pin) {
+    const Plan first = plan(max_trials, lanes, pool, pin);
+    McOptions mc = first.mc;
+    CoverOptions cover = first.cover;
+    EXPECT_EQ(apply_thread_budget(lanes, pool, mc, cover), first.mode);
+    EXPECT_EQ(mc.parallelism, first.mc.parallelism);
+    EXPECT_EQ(cover.lane_shards, first.cover.lane_shards);
+    EXPECT_EQ(cover.shard_pool, first.cover.shard_pool);
+  };
+  expect_idempotent(8, 4096, &pool4, 0);     // lanes, auto count written
+  expect_idempotent(1000, 4096, &pool4, 0);  // trials
+  expect_idempotent(1000, 16, &pool4, 5);    // pinned
+  expect_idempotent(8, 4096, nullptr, 0);    // no pool
 }
 
 }  // namespace

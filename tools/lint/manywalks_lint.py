@@ -372,7 +372,7 @@ class StrayAtomicRule(Rule):
                     "shared mutable state must live in the audited pool "
                     "layer (determinism contract v3); route cross-thread "
                     "communication through ShardedVisitTracker's "
-                    "per-shard bitmaps and the SpinBarrier protocol",
+                    "per-worker bitmaps and the SpinBarrier protocol",
                 )
             )
         return findings
