@@ -106,7 +106,7 @@ ExperimentResult run_giant_cycle(const ExperimentParams& params,
   McOptions mc = preset_mc(trials);
   mc.seed = mix64(seed ^ 0x61a27c1eULL);
   const std::vector<SpeedupEstimate> curve = estimate_speedup_curve_to_target(
-      substrate, /*start=*/0, target, ks, mc, cover, &pool);
+      InCore(substrate), /*start=*/0, target, ks, mc, cover, &pool);
 
   ExperimentResult result;
   push_common_params(result, seed, params.full, n64, trials, pool.size());
@@ -160,7 +160,7 @@ ExperimentResult run_giant_torus(const ExperimentParams& params,
   McOptions mc = preset_mc(trials);
   mc.seed = mix64(seed ^ 0x9a7052e5ULL);
   const std::vector<SpeedupEstimate> curve = estimate_speedup_curve_to_target(
-      substrate, /*start=*/0, target, ks, mc, cover, &pool);
+      InCore(substrate), /*start=*/0, target, ks, mc, cover, &pool);
 
   ExperimentResult result;
   push_common_params(result, seed, params.full,

@@ -1,17 +1,17 @@
 // Registrations for the stored-graph experiments: `--graph=FILE.mwg`
-// versions of the paper's speed-up and start-placement measurements,
-// running the walk engine zero-copy off a memory-mapped mwg file. This is
-// how the k-walk results get measured on real-world graphs (SNAP dumps
+// versions of the paper's speed-up and start-placement measurements. This
+// is how the k-walk results get measured on real-world graphs (SNAP dumps
 // via `manywalks graph convert`) instead of only the synthetic families.
 //
-// `--block-walk` switches both experiments to the out-of-core
-// block-scheduled engine (walk/block_engine.hpp) with an explicit
-// `--mem-budget`: the graph must be mwg v2, only its metadata stays
-// resident, and — determinism contract v4 — every number in the tables
-// is bit-identical to the in-core run at any budget.
+// Each experiment has one body over an engine source (mc/estimators.hpp);
+// `--block-walk` only picks the source: the whole file memory-mapped for
+// the in-core lane engine, or the out-of-core block engine under an
+// explicit `--mem-budget` (mwg v2 only; only metadata stays resident).
+// The tables are bit-identical either way.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +22,6 @@
 #include "storage/mapped_graph.hpp"
 #include "util/options.hpp"
 #include "walk/block_engine.hpp"
-#include "walk/sampling.hpp"
 
 namespace manywalks::cli {
 
@@ -35,26 +34,8 @@ Vertex checked_start(const char* name, const ExperimentParams& params,
   return static_cast<Vertex>(params.start);
 }
 
-std::string substrate_preamble(const CsrSubstrate& substrate,
-                               const std::string& source) {
-  return "stored graph " + source + ": n = " +
-         format_count(substrate.num_vertices()) + ", arcs = " +
-         format_count(substrate.offsets().back()) +
-         " — adjacency memory-mapped read-only; the engine binds the "
-         "mapped arrays through the same CsrSubstrate as an in-core graph, "
-         "so the streams are bit-identical.";
-}
-
-MappedGraph open_mapped(const char* name, const ExperimentParams& params) {
-  MW_REQUIRE(!params.graph.empty(),
-             name << " needs --graph=FILE.mwg (create one with `manywalks "
-                     "graph gen` or `manywalks graph convert`)");
-  return MappedGraph(params.graph);
-}
-
-// --- shared table/notes builders (in-core and blocked paths emit the
-// same rows, which is how the v4 bit-identity contract stays visible in
-// the output, not just in the goldens) ---------------------------------
+// --- table/notes builders (both engine sources emit the same rows, which
+// is how the v4 bit-identity contract stays visible in the output) -----
 
 ResultTable speedup_table(const std::string& source, Vertex start,
                           Vertex target, Vertex n,
@@ -126,41 +107,15 @@ std::vector<std::string> starts_notes() {
       "(§1.1 setting)."};
 }
 
-// --- out-of-core (--block-walk) runners -------------------------------
+// --- per-source echo: the in-core run reports its thread-budget decision;
+// the out-of-core run is serial and reports its budget and cache traffic.
 
 constexpr std::uint64_t kDefaultMemBudget = std::uint64_t{256} << 20;
 
-std::uint64_t resolve_mem_budget(const ExperimentParams& params) {
-  return params.mem_budget.empty() ? kDefaultMemBudget
-                                   : parse_byte_size(params.mem_budget);
-}
-
-BlockedGraph open_blocked(const char* name, const ExperimentParams& params) {
-  MW_REQUIRE(!params.graph.empty(),
-             name << " needs --graph=FILE.mwg (create one with `manywalks "
-                     "graph gen` or `manywalks graph convert`)");
-  return BlockedGraph(params.graph);
-}
-
-std::string blocked_preamble(const BlockedGraph& graph,
-                             const std::string& source,
-                             std::uint64_t budget) {
-  return "stored graph " + source + ": n = " +
-         format_count(graph.num_vertices()) + ", arcs = " +
-         format_count(graph.num_arcs()) + " — mwg v2, " +
-         format_count(graph.num_blocks()) + " blocks of 2^" +
-         std::to_string(graph.block_bits()) +
-         " vertices; block-scheduled out-of-core engine with a " +
-         format_count(budget) +
-         "-byte resident-extent budget (only graph metadata stays mapped). "
-         "Results are bit-identical to the in-core run at any budget "
-         "(determinism contract v4).";
-}
-
 std::string blocked_cache_note(const BlockedRunTotals& totals) {
-  // Counters reset per trial (see estimate_cover_to_target_blocked), so
-  // these are per-trial aggregates: totals are sums of independent trial
-  // readings and the peak is a true heaviest-trial figure.
+  // Counters reset per trial (see OutOfCore::walk), so these are per-trial
+  // aggregates: totals are sums of independent trial readings and the peak
+  // is a true heaviest-trial figure.
   std::string note =
       "block engine (" + format_count(totals.trials) +
       " trials, counters reset per trial): " +
@@ -182,163 +137,117 @@ std::string blocked_cache_note(const BlockedRunTotals& totals) {
   return note;
 }
 
-ExperimentResult run_mwg_speedup_blocked(const ExperimentParams& params,
-                                         ThreadPool& pool) {
-  const BlockedGraph graph = open_blocked("mwg-speedup", params);
-  const std::uint64_t budget = resolve_mem_budget(params);
-  BlockWalkEngine engine(graph, budget);
-
-  const ExperimentPreset& preset = preset_for("mwg-speedup");
-  const std::uint64_t seed = params.seed;
-  const std::uint64_t trials = resolve_trials(preset, params);
-  const std::uint64_t k_limit =
-      checked_walk_count("mwg-speedup", resolve_kmax(preset, params));
-  const Vertex n = graph.num_vertices();
-  const Vertex start = checked_start("mwg-speedup", params, n);
-  const Vertex target = clamp_cover_target(resolve_target(preset, params), n);
-  const std::vector<unsigned> ks = geometric_ks(k_limit);
-
-  McOptions mc = preset_mc(trials);
-  mc.seed = mix64(seed ^ 0x3396a1ULL);
-  BlockedRunTotals totals;
-  const std::vector<SpeedupEstimate> curve =
-      estimate_speedup_curve_to_target_blocked(engine, start, target, ks, mc,
-                                               lane_cover_options(), &totals);
-
-  ExperimentResult result;
-  push_common_params(result, seed, params.full,
-                     static_cast<std::uint64_t>(n), trials, pool.size());
-  push_param(result, "graph", params.graph);
-  push_param(result, "start", static_cast<std::uint64_t>(start));
-  push_param(result, "kmax", k_limit);
-  push_param(result, "target", static_cast<std::uint64_t>(target));
-  push_param(result, "parallelism", std::string("blocked"));
-  push_param(result, "mem_budget", budget);
-  result.preamble.push_back(blocked_preamble(graph, params.graph, budget));
-  result.tables.push_back(speedup_table(params.graph, start, target, n, curve));
-  result.notes = speedup_notes();
-  result.notes.push_back(blocked_cache_note(totals));
-  return result;
+std::span<const std::uint64_t> offsets_of(const InCore<CsrSubstrate>& engines) {
+  return engines.substrate.offsets();
+}
+std::span<const std::uint64_t> offsets_of(const OutOfCore& engines) {
+  return engines.engine.graph().offsets();
 }
 
-ExperimentResult run_mwg_starts_blocked(const ExperimentParams& params,
-                                        ThreadPool& pool) {
-  const BlockedGraph graph = open_blocked("mwg-starts", params);
-  const std::uint64_t budget = resolve_mem_budget(params);
-  BlockWalkEngine engine(graph, budget);
-
-  const ExperimentPreset& preset = preset_for("mwg-starts");
-  const std::uint64_t seed = params.seed;
-  const std::uint64_t trials = resolve_trials(preset, params);
-  const auto k = static_cast<unsigned>(checked_walk_count(
-      "mwg-starts", std::max<std::uint64_t>(resolve_k(preset, params), 1)));
-  const Vertex n = graph.num_vertices();
-  const Vertex start = checked_start("mwg-starts", params, n);
-
-  // The shared engine forces serial trials (see
-  // estimate_cover_to_target_blocked); the raw run_monte_carlo calls
-  // below pin the same mode so all three placements reduce identically
-  // to the in-core path.
-  const CoverOptions cover_run = lane_cover_options();
-  McOptions mc = preset_mc(trials);
-  mc.parallelism = McParallelism::kLanes;
-
-  BlockedRunTotals totals;
-  McOptions same_mc = mc;
-  same_mc.seed = mix64(seed ^ 0x3a11ULL);
-  const McResult same = estimate_cover_to_target_blocked(
-      engine, start, k, n, same_mc, cover_run, &totals);
-
-  const std::span<const std::uint64_t> offsets = graph.offsets();
-  McOptions stationary_mc = mc;
-  stationary_mc.seed = mix64(seed ^ 0x3a22ULL);
-  const McResult stationary = run_monte_carlo(
-      [&engine, &totals, offsets, k, cover_run, n](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) {
-          s = sample_stationary_vertex_csr(offsets, rng);
-        }
-        engine.reset(starts);
-        engine.reset_stats();
-        const CoverSample sample = engine.run_until_visited(n, rng, cover_run);
-        totals.absorb(engine);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      stationary_mc, nullptr);
-
-  McOptions uniform_mc = mc;
-  uniform_mc.seed = mix64(seed ^ 0x3a33ULL);
-  const McResult uniform = run_monte_carlo(
-      [&engine, &totals, k, cover_run, n](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) s = rng.uniform_below_wide(n);
-        engine.reset(starts);
-        engine.reset_stats();
-        const CoverSample sample = engine.run_until_visited(n, rng, cover_run);
-        totals.absorb(engine);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      uniform_mc, nullptr);
-
-  ExperimentResult result;
-  push_common_params(result, seed, params.full,
-                     static_cast<std::uint64_t>(n), trials, pool.size());
-  push_param(result, "graph", params.graph);
-  push_param(result, "start", static_cast<std::uint64_t>(start));
-  push_param(result, "k", static_cast<std::uint64_t>(k));
+/// Finishes `result` (after its tables and notes) with the source's echo.
+/// `lanes` is the headline estimate's k, as push_parallelism_params takes.
+void echo_source(ExperimentResult& result, const InCore<CsrSubstrate>& engines,
+                 const std::string& source, const CoverOptions& cover,
+                 std::uint64_t max_trials, std::size_t lanes,
+                 ThreadPool& pool) {
+  push_parallelism_params(result, cover, max_trials, lanes, pool);
+  result.preamble.push_back(
+      "stored graph " + source + ": n = " +
+      format_count(engines.num_vertices()) + ", arcs = " +
+      format_count(engines.substrate.offsets().back()) +
+      " — adjacency memory-mapped read-only; the engine binds the mapped "
+      "arrays through the same CsrSubstrate as an in-core graph, so the "
+      "streams are bit-identical.");
+}
+void echo_source(ExperimentResult& result, const OutOfCore& engines,
+                 const std::string& source, const CoverOptions&,
+                 std::uint64_t, std::size_t, ThreadPool&) {
+  const BlockedGraph& graph = engines.engine.graph();
+  const std::uint64_t budget = engines.engine.mem_budget();
   push_param(result, "parallelism", std::string("blocked"));
   push_param(result, "mem_budget", budget);
-  result.preamble.push_back(blocked_preamble(graph, params.graph, budget));
-  result.tables.push_back(
-      starts_table(params.graph, k, start, same, stationary, uniform));
-  result.notes = starts_notes();
-  result.notes.push_back(blocked_cache_note(totals));
-  return result;
+  result.preamble.push_back(
+      "stored graph " + source + ": n = " +
+      format_count(graph.num_vertices()) + ", arcs = " +
+      format_count(graph.num_arcs()) + " — mwg v2, " +
+      format_count(graph.num_blocks()) + " blocks of 2^" +
+      std::to_string(graph.block_bits()) +
+      " vertices; block-scheduled out-of-core engine with a " +
+      format_count(budget) +
+      "-byte resident-extent budget (only graph metadata stays mapped). "
+      "Results are bit-identical to the in-core run at any budget "
+      "(determinism contract v4).");
+  if (engines.totals != nullptr) {
+    result.notes.push_back(blocked_cache_note(*engines.totals));
+  }
+}
+
+/// Opens --graph for the engine source --block-walk picks and hands it to
+/// `body`: the whole file mapped in core (targets range-checked once, so a
+/// corrupt store fails cleanly instead of walking off the tracker), or
+/// the block engine under --mem-budget (each extent checked on its first
+/// load).
+template <class Body>
+ExperimentResult with_engine_source(const char* name,
+                                    const ExperimentParams& params,
+                                    Body&& body) {
+  MW_REQUIRE(!params.graph.empty(),
+             name << " needs --graph=FILE.mwg (create one with `manywalks "
+                     "graph gen` or `manywalks graph convert`)");
+  MW_REQUIRE(params.mem_budget.empty() || params.block_walk,
+             "--mem-budget only applies with --block-walk");
+  MW_REQUIRE(params.lane_shards == 0 || !params.block_walk,
+             "--lane-shards does not apply with --block-walk (the block "
+             "engine walks each trial on one thread)");
+  if (!params.block_walk) {
+    const MappedGraph mapped(params.graph, MappedGraph::Validate::kTargets);
+    return body(InCore(mapped.substrate()));
+  }
+  const BlockedGraph graph(params.graph);
+  BlockWalkEngine engine(graph, params.mem_budget.empty()
+                                    ? kDefaultMemBudget
+                                    : parse_byte_size(params.mem_budget));
+  BlockedRunTotals totals;
+  return body(OutOfCore{engine, &totals});
 }
 
 ExperimentResult run_mwg_speedup(const ExperimentParams& params,
                                  ThreadPool& pool) {
-  MW_REQUIRE(params.mem_budget.empty() || params.block_walk,
-             "--mem-budget only applies with --block-walk");
-  if (params.block_walk) return run_mwg_speedup_blocked(params, pool);
-  const MappedGraph mapped = open_mapped("mwg-speedup", params);
-  return run_mwg_speedup_on_substrate(mapped.substrate(), params.graph,
-                                      params, pool, lane_cover_options());
+  return with_engine_source("mwg-speedup", params, [&](const auto& engines) {
+    return run_mwg_speedup_on(engines, params.graph, params, pool);
+  });
 }
 
 ExperimentResult run_mwg_starts(const ExperimentParams& params,
                                 ThreadPool& pool) {
-  MW_REQUIRE(params.mem_budget.empty() || params.block_walk,
-             "--mem-budget only applies with --block-walk");
-  if (params.block_walk) return run_mwg_starts_blocked(params, pool);
-  const MappedGraph mapped = open_mapped("mwg-starts", params);
-  return run_mwg_starts_on_substrate(mapped.substrate(), params.graph, params,
-                                     pool, lane_cover_options());
+  return with_engine_source("mwg-starts", params, [&](const auto& engines) {
+    return run_mwg_starts_on(engines, params.graph, params, pool);
+  });
 }
 
 }  // namespace
 
-ExperimentResult run_mwg_speedup_on_substrate(const CsrSubstrate& substrate,
-                                              const std::string& source,
-                                              const ExperimentParams& params,
-                                              ThreadPool& pool,
-                                              const CoverOptions& cover) {
+template <class Engines>
+ExperimentResult run_mwg_speedup_on(const Engines& engines,
+                                    const std::string& source,
+                                    const ExperimentParams& params,
+                                    ThreadPool& pool) {
   const ExperimentPreset& preset = preset_for("mwg-speedup");
   const std::uint64_t seed = params.seed;
   const std::uint64_t trials = resolve_trials(preset, params);
   const std::uint64_t k_limit =
       checked_walk_count("mwg-speedup", resolve_kmax(preset, params));
-  const Vertex n = substrate.num_vertices();
+  const Vertex n = engines.num_vertices();
   const Vertex start = checked_start("mwg-speedup", params, n);
   const Vertex target = clamp_cover_target(resolve_target(preset, params), n);
   const std::vector<unsigned> ks = geometric_ks(k_limit);
 
-  CoverOptions cover_run = cover;
-  cover_run.lane_shards = params.lane_shards;
+  CoverOptions cover = lane_cover_options();
+  cover.lane_shards = params.lane_shards;
   McOptions mc = preset_mc(trials);
   mc.seed = mix64(seed ^ 0x3396a1ULL);
   const std::vector<SpeedupEstimate> curve = estimate_speedup_curve_to_target(
-      substrate, start, target, ks, mc, cover_run, &pool);
+      engines, start, target, ks, mc, cover, &pool);
 
   ExperimentResult result;
   push_common_params(result, seed, params.full,
@@ -347,63 +256,37 @@ ExperimentResult run_mwg_speedup_on_substrate(const CsrSubstrate& substrate,
   push_param(result, "start", static_cast<std::uint64_t>(start));
   push_param(result, "kmax", k_limit);
   push_param(result, "target", static_cast<std::uint64_t>(target));
-  push_parallelism_params(result, cover_run, mc.max_trials, k_limit, pool);
-  result.preamble.push_back(substrate_preamble(substrate, source));
   result.tables.push_back(speedup_table(source, start, target, n, curve));
   result.notes = speedup_notes();
+  echo_source(result, engines, source, cover, mc.max_trials, k_limit, pool);
   return result;
 }
 
-ExperimentResult run_mwg_starts_on_substrate(const CsrSubstrate& substrate,
-                                             const std::string& source,
-                                             const ExperimentParams& params,
-                                             ThreadPool& pool,
-                                             const CoverOptions& cover) {
+template <class Engines>
+ExperimentResult run_mwg_starts_on(const Engines& engines,
+                                   const std::string& source,
+                                   const ExperimentParams& params,
+                                   ThreadPool& pool) {
   const ExperimentPreset& preset = preset_for("mwg-starts");
   const std::uint64_t seed = params.seed;
   const std::uint64_t trials = resolve_trials(preset, params);
   const auto k = static_cast<unsigned>(checked_walk_count(
       "mwg-starts", std::max<std::uint64_t>(resolve_k(preset, params), 1)));
-  const Vertex n = substrate.num_vertices();
+  const Vertex n = engines.num_vertices();
   const Vertex start = checked_start("mwg-starts", params, n);
-  // The two raw run_monte_carlo calls below bypass the estimators, so the
-  // thread-budget policy is applied here once (lanes = k for all three
-  // placements); estimate_k_cover_time re-applies it idempotently.
-  CoverOptions cover_run = cover;
-  cover_run.lane_shards = params.lane_shards;
-  McOptions mc = preset_mc(trials);
-  apply_thread_budget(k, &pool, mc, cover_run);
 
-  McOptions same_mc = mc;
-  same_mc.seed = mix64(seed ^ 0x3a11ULL);
-  const McResult same =
-      estimate_k_cover_time(substrate, start, k, same_mc, cover_run, &pool);
-
-  McOptions stationary_mc = mc;
-  stationary_mc.seed = mix64(seed ^ 0x3a22ULL);
-  const McResult stationary = run_monte_carlo(
-      [substrate, k, cover_run](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) {
-          s = sample_stationary_vertex_csr(substrate.offsets(), rng);
-        }
-        const CoverSample sample = sample_cover_to_target(
-            substrate, starts, substrate.num_vertices(), rng, cover_run);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      stationary_mc, &pool);
-
-  McOptions uniform_mc = mc;
-  uniform_mc.seed = mix64(seed ^ 0x3a33ULL);
-  const McResult uniform = run_monte_carlo(
-      [substrate, k, cover_run, n](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) s = rng.uniform_below_wide(n);
-        const CoverSample sample = sample_cover_to_target(
-            substrate, starts, substrate.num_vertices(), rng, cover_run);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      uniform_mc, &pool);
+  CoverOptions cover = lane_cover_options();
+  cover.lane_shards = params.lane_shards;
+  const McOptions mc = preset_mc(trials);
+  const auto placement = [&](std::uint64_t salt, const auto& draw_starts) {
+    McOptions placed = mc;
+    placed.seed = mix64(seed ^ salt);
+    return estimate_cover(engines, k, draw_starts, n, placed, cover, &pool);
+  };
+  const McResult same = placement(0x3a11ULL, same_vertex_starts(start));
+  const McResult stationary =
+      placement(0x3a22ULL, stationary_starts(offsets_of(engines)));
+  const McResult uniform = placement(0x3a33ULL, uniform_starts(n));
 
   ExperimentResult result;
   push_common_params(result, seed, params.full,
@@ -411,13 +294,29 @@ ExperimentResult run_mwg_starts_on_substrate(const CsrSubstrate& substrate,
   push_param(result, "graph", source);
   push_param(result, "start", static_cast<std::uint64_t>(start));
   push_param(result, "k", static_cast<std::uint64_t>(k));
-  push_parallelism_params(result, cover_run, mc.max_trials, k, pool);
-  result.preamble.push_back(substrate_preamble(substrate, source));
   result.tables.push_back(
       starts_table(source, k, start, same, stationary, uniform));
   result.notes = starts_notes();
+  echo_source(result, engines, source, cover, mc.max_trials, k, pool);
   return result;
 }
+
+template ExperimentResult run_mwg_speedup_on(const InCore<CsrSubstrate>&,
+                                             const std::string&,
+                                             const ExperimentParams&,
+                                             ThreadPool&);
+template ExperimentResult run_mwg_speedup_on(const OutOfCore&,
+                                             const std::string&,
+                                             const ExperimentParams&,
+                                             ThreadPool&);
+template ExperimentResult run_mwg_starts_on(const InCore<CsrSubstrate>&,
+                                            const std::string&,
+                                            const ExperimentParams&,
+                                            ThreadPool&);
+template ExperimentResult run_mwg_starts_on(const OutOfCore&,
+                                            const std::string&,
+                                            const ExperimentParams&,
+                                            ThreadPool&);
 
 void register_mwg_experiments(ExperimentRegistry& registry) {
   registry.add({"mwg-speedup",

@@ -85,17 +85,6 @@ ExperimentResult run_stationary_start(const ExperimentParams& params,
 
 // --- fig_start_placement (ablation) -----------------------------------------
 
-McResult measure_uniform_starts(const Graph& g, unsigned k,
-                                const McOptions& mc, ThreadPool* pool) {
-  return run_monte_carlo(
-      [&g, k](std::uint64_t, Rng& rng) {
-        const auto starts = sample_uniform_starts(g, k, rng);
-        const CoverSample s = sample_multi_cover_time(g, starts, rng);
-        return TrialOutcome{static_cast<double>(s.steps), !s.covered};
-      },
-      mc, pool);
-}
-
 ExperimentResult run_start_placement(const ExperimentParams& params,
                                      ThreadPool& pool) {
   const ExperimentPreset& preset = preset_for("fig_start_placement");
@@ -122,6 +111,7 @@ ExperimentResult run_start_placement(const ExperimentParams& params,
     const FamilyInstance instance =
         make_family_instance(family, target_n, seed);
     const Graph& g = instance.graph;
+    const Vertex n = g.num_vertices();
 
     McOptions o1 = mc;
     o1.seed = mix64(seed ^ 0xaaa1ULL);
@@ -135,7 +125,9 @@ ExperimentResult run_start_placement(const ExperimentParams& params,
 
     McOptions o3 = mc;
     o3.seed = mix64(seed ^ 0xaaa3ULL);
-    const McResult uniform = measure_uniform_starts(g, k, o3, &pool);
+    const McResult uniform =
+        estimate_cover(InCore(CsrSubstrate(g)), k, uniform_starts(n), n, o3,
+                       lane_cover_options(), &pool);
 
     McOptions o4 = mc;
     o4.seed = mix64(seed ^ 0xaaa4ULL);

@@ -1,6 +1,7 @@
-// Experiment runners shared by the bench binaries and integration tests.
-// Each runner returns a structured result; render_* turns it into the
-// paper-style text table.
+// The structured result every `manywalks run` experiment returns, plus the
+// Table 1 / speed-up / barbell runners the CLI registrations and the
+// theorem tests share. render_* turns a result into the paper-style text
+// table.
 #pragma once
 
 #include <span>

@@ -1,44 +1,12 @@
 #include "mc/estimators.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "util/check.hpp"
 #include "walk/block_engine.hpp"
-#include "walk/sampling.hpp"
 
 namespace manywalks {
-
-McResult estimate_cover_time(const Graph& g, Vertex start, const McOptions& mc,
-                             const CoverOptions& cover, ThreadPool* pool) {
-  return estimate_cover_to_target(CsrSubstrate(g), start, 1, g.num_vertices(),
-                                  mc, cover, pool);
-}
-
-McResult estimate_k_cover_time(const Graph& g, Vertex start, unsigned k,
-                               const McOptions& mc, const CoverOptions& cover,
-                               ThreadPool* pool) {
-  return estimate_cover_to_target(CsrSubstrate(g), start, k, g.num_vertices(),
-                                  mc, cover, pool);
-}
-
-McResult estimate_multi_cover_time(const Graph& g,
-                                   std::span<const Vertex> starts,
-                                   const McOptions& mc,
-                                   const CoverOptions& cover,
-                                   ThreadPool* pool) {
-  std::vector<Vertex> starts_copy(starts.begin(), starts.end());
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(starts_copy.size(), pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [&g, starts_copy, cover_planned](std::uint64_t, Rng& rng) {
-        const CoverSample sample =
-            sample_multi_cover_time(g, starts_copy, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
-}
 
 McResult estimate_hitting_time(const Graph& g, Vertex from, Vertex to,
                                const McOptions& mc, const HitOptions& hit,
@@ -92,64 +60,6 @@ SpeedupEstimate combine_speedup(unsigned k, const McResult& single,
   return est;
 }
 
-std::vector<double> collect_cover_samples(const Graph& g, Vertex start,
-                                          unsigned k, std::uint64_t trials,
-                                          std::uint64_t seed,
-                                          const CoverOptions& cover,
-                                          ThreadPool* pool) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  MW_REQUIRE(trials >= 1, "need at least one trial");
-  std::unique_ptr<ThreadPool> local_pool;
-  if (pool == nullptr) {
-    local_pool = std::make_unique<ThreadPool>(0);
-    pool = local_pool.get();
-  }
-  std::vector<double> samples(trials, 0.0);
-  parallel_for(*pool, 0, trials, [&](std::uint64_t i) {
-    Rng rng = make_trial_rng(seed, i);
-    const CoverSample sample = sample_k_cover_time(g, start, k, rng, cover);
-    samples[i] = static_cast<double>(sample.steps);
-  });
-  return samples;
-}
-
-McResult estimate_stationary_start_cover(const Graph& g, unsigned k,
-                                         const McOptions& mc,
-                                         const CoverOptions& cover,
-                                         ThreadPool* pool) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(k, pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [&g, k, cover_planned](std::uint64_t, Rng& rng) {
-        const std::vector<Vertex> starts = sample_stationary_starts(g, k, rng);
-        const CoverSample sample =
-            sample_multi_cover_time(g, starts, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
-}
-
-SpeedupEstimate estimate_speedup(const Graph& g, Vertex start, unsigned k,
-                                 const McOptions& mc, const CoverOptions& cover,
-                                 ThreadPool* pool) {
-  const unsigned ks[1] = {k};
-  return estimate_speedup_curve(g, start, ks, mc, cover, pool).front();
-}
-
-std::vector<SpeedupEstimate> estimate_speedup_curve(
-    const Graph& g, Vertex start, std::span<const unsigned> ks,
-    const McOptions& mc, const CoverOptions& cover, ThreadPool* pool) {
-  // One implementation for both paths: the CSR substrate consumes the
-  // exact draw sequence of the historical Graph path (same per-k seed
-  // constants, same trial streams), so delegating changes no number —
-  // proven by tests/test_substrate.cpp SpeedupCurveMatchesGraphEstimatorSeeding.
-  return estimate_speedup_curve_to_target(CsrSubstrate(g), start,
-                                          g.num_vertices(), ks, mc, cover,
-                                          pool);
-}
-
 void BlockedRunTotals::absorb(const BlockWalkEngine& engine) {
   const ExtentCache::Stats& cache = engine.cache_stats();
   const BlockWalkEngine::Stats& run = engine.stats();
@@ -164,47 +74,36 @@ void BlockedRunTotals::absorb(const BlockWalkEngine& engine) {
       std::max(peak_trial_bytes_loaded, cache.bytes_loaded);
 }
 
+Vertex OutOfCore::num_vertices() const { return engine.num_vertices(); }
+
+ThreadPool* OutOfCore::plan(std::size_t /*lanes*/, ThreadPool* /*pool*/,
+                            McOptions& mc, CoverOptions& cover) const {
+  // kLanes with no pool is run_monte_carlo's serial index-ordered loop:
+  // the same per-trial streams and reduction order as every other mode.
+  mc.parallelism = McParallelism::kLanes;
+  cover.lane_shards = 0;
+  cover.shard_pool = nullptr;
+  return nullptr;
+}
+
+CoverSample OutOfCore::walk(std::span<const Vertex> starts, Vertex target,
+                            Rng& rng, const CoverOptions& cover) const {
+  engine.reset(starts);
+  // Counters restart per trial so run summaries report per-trial
+  // aggregates; walking never reads them, so the v4 schedule is untouched.
+  engine.reset_stats();
+  const CoverSample sample = engine.run_until_visited(target, rng, cover);
+  if (totals != nullptr) totals->absorb(engine);
+  return sample;
+}
+
 McResult estimate_cover_to_target_blocked(BlockWalkEngine& engine,
                                           Vertex start, unsigned k,
                                           Vertex target, const McOptions& mc,
                                           const CoverOptions& cover,
                                           BlockedRunTotals* totals) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  // The engine (and its extent cache) is shared across trials, so the
-  // trial loop must stay on the caller: kLanes with no pool is
-  // run_monte_carlo's serial index-ordered loop — the same per-trial
-  // streams and reduction order as every other mode, so the estimate is
-  // bit-identical to the in-core path.
-  McOptions mc_serial = mc;
-  mc_serial.parallelism = McParallelism::kLanes;
-  CoverOptions cover_run = cover;
-  cover_run.lane_shards = 0;
-  cover_run.shard_pool = nullptr;
-  return run_monte_carlo(
-      [&engine, start, k, target, cover_run, totals](std::uint64_t, Rng& rng) {
-        const std::vector<Vertex> starts(static_cast<std::size_t>(k), start);
-        engine.reset(starts);
-        // Counters restart per trial so run summaries report per-trial
-        // aggregates instead of one monotone series; walking never reads
-        // them, so this cannot perturb the v4 schedule.
-        engine.reset_stats();
-        const CoverSample sample =
-            engine.run_until_visited(target, rng, cover_run);
-        if (totals != nullptr) totals->absorb(engine);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_serial, nullptr);
-}
-
-std::vector<SpeedupEstimate> estimate_speedup_curve_to_target_blocked(
-    BlockWalkEngine& engine, Vertex start, Vertex target,
-    std::span<const unsigned> ks, const McOptions& mc,
-    const CoverOptions& cover, BlockedRunTotals* totals) {
-  return estimate_speedup_curve_with(
-      ks, mc, [&](unsigned k, const McOptions& mc_k) {
-        return estimate_cover_to_target_blocked(engine, start, k, target, mc_k,
-                                                cover, totals);
-      });
+  return estimate_cover(OutOfCore{engine, totals}, k,
+                        same_vertex_starts(start), target, mc, cover);
 }
 
 }  // namespace manywalks

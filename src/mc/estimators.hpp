@@ -1,17 +1,14 @@
 // Monte-Carlo estimators for the paper's quantities: C_i, C^k_i, h(u,v),
 // and the speed-up S^k = C / C^k with propagated uncertainty.
 //
-// Every cover estimator funnels through the cover.hpp samplers, so
-// estimates are sampled by the engine's lane kernels (determinism contract
-// v2): trial i under master seed s sees make_trial_rng(s, i), the engine
-// derives its per-token streams from one draw of that stream, and results
-// reduce in trial order, so estimates stay bit-identical across thread
-// counts.
+// Every cover estimator is one call of the funnel estimate_cover over one
+// of two engine sources (InCore, OutOfCore); its reproducibility contract
+// is stated once, at estimate_cover.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -19,11 +16,12 @@
 #include "mc/monte_carlo.hpp"
 #include "walk/cover.hpp"
 #include "walk/hitting.hpp"
+#include "walk/sampling.hpp"
 
 namespace manywalks {
 
-/// The thread-budget arbitration applied by every cover estimator before it
-/// enters run_monte_carlo, and the only place a lane-shard count is picked:
+/// The thread-budget arbitration every in-core cover estimate runs under
+/// (InCore::plan), and the only place a lane-shard count is picked:
 /// decides once per estimate whether the pool fans out over trials
 /// (kTrials) or is handed down to the lane-sharded engine (kLanes), and
 /// writes the decision into the option COPIES the estimate will run with.
@@ -51,215 +49,36 @@ inline McParallelism apply_thread_budget(std::size_t lanes, ThreadPool* pool,
   return mode;
 }
 
-/// Estimates the single-walk expected cover time C_start.
-McResult estimate_cover_time(const Graph& g, Vertex start,
-                             const McOptions& mc, const CoverOptions& cover = {},
-                             ThreadPool* pool = nullptr);
-
-/// Estimates the k-walk expected cover time C^k_start (k tokens at start).
-McResult estimate_k_cover_time(const Graph& g, Vertex start, unsigned k,
-                               const McOptions& mc,
-                               const CoverOptions& cover = {},
-                               ThreadPool* pool = nullptr);
-
-/// Estimates the cover time of a k-walk with explicit starting vertices.
-McResult estimate_multi_cover_time(const Graph& g,
-                                   std::span<const Vertex> starts,
-                                   const McOptions& mc,
-                                   const CoverOptions& cover = {},
-                                   ThreadPool* pool = nullptr);
-
-/// Estimates h(from, to) for a single walk.
-McResult estimate_hitting_time(const Graph& g, Vertex from, Vertex to,
-                               const McOptions& mc, const HitOptions& hit = {},
-                               ThreadPool* pool = nullptr);
-
-/// C(G) = max_i C_i over the supplied candidate starts (each estimated
-/// independently; returns the max and its argmax).
-struct MaxCoverEstimate {
-  McResult result;
-  Vertex argmax_start = 0;
-};
-MaxCoverEstimate estimate_max_cover_time(const Graph& g,
-                                         std::span<const Vertex> starts,
-                                         const McOptions& mc,
-                                         const CoverOptions& cover = {},
-                                         ThreadPool* pool = nullptr);
-
-/// A measured speed-up point S^k = Ĉ / Ĉ^k.
-struct SpeedupEstimate {
-  unsigned k = 1;
-  McResult single;  ///< Ĉ (k = 1)
-  McResult multi;   ///< Ĉ^k
-  double speedup = 1.0;
-  /// First-order propagated half-width:
-  /// S * sqrt((δC/C)^2 + (δC^k/C^k)^2).
-  double half_width = 0.0;
-  /// Step-cap-censored trials feeding either side. When nonzero the ratio
-  /// divides biased (lower-bound) means, so it is flagged everywhere it is
-  /// rendered instead of being reported as a clean estimate.
-  std::uint64_t censored = 0;
-};
-
-/// Estimates S^k at a single k (runs both the 1-walk and the k-walk).
-SpeedupEstimate estimate_speedup(const Graph& g, Vertex start, unsigned k,
-                                 const McOptions& mc,
-                                 const CoverOptions& cover = {},
-                                 ThreadPool* pool = nullptr);
-
-/// Estimates S^k across several k, reusing one k=1 baseline estimate.
-std::vector<SpeedupEstimate> estimate_speedup_curve(
-    const Graph& g, Vertex start, std::span<const unsigned> ks,
-    const McOptions& mc, const CoverOptions& cover = {},
-    ThreadPool* pool = nullptr);
-
-/// Combines two cover-time estimates into a speed-up with propagated error.
-SpeedupEstimate combine_speedup(unsigned k, const McResult& single,
-                                const McResult& multi);
-
-/// Raw k-walk cover-time samples (k tokens from `start`), one value per
-/// trial, in trial order. For distribution/concentration studies
-/// (paper Thm 17: tau/C -> 1 when C/h_max -> infinity).
-std::vector<double> collect_cover_samples(const Graph& g, Vertex start,
-                                          unsigned k, std::uint64_t trials,
-                                          std::uint64_t seed,
-                                          const CoverOptions& cover = {},
-                                          ThreadPool* pool = nullptr);
-
-/// k-walk cover time with the k starting vertices RE-DRAWN each trial from
-/// the stationary distribution — the setting of the paper's §1.1
-/// comparison with Broder et al. (expected O(m^2 log^3 n / k^2)) and of
-/// the Lemma 19 remark (O(n log n / k) on expanders).
-McResult estimate_stationary_start_cover(const Graph& g, unsigned k,
-                                         const McOptions& mc,
-                                         const CoverOptions& cover = {},
-                                         ThreadPool* pool = nullptr);
-
-// --- substrate overloads -----------------------------------------------------
+// --- engine sources ----------------------------------------------------------
 //
-// The same estimators over an implicit (or CSR-wrapping) substrate, plus
-// the fixed-target variants the giant-graph experiments are built on:
-// full cover is Θ(n²) on a 10^8-cycle, but the time for k walks to visit a
-// fixed number of distinct vertices is cheap to sample and shows the same
-// speed-up regimes (the paper's own cycle argument, Lemmas 21/22, bounds
-// exactly the spread of the k walks).
+// A source hands each trial an engine — both engines model reset(starts) /
+// run_until_visited(target, rng, cover) — and plans how the estimate
+// spends its thread budget.
 
-/// Estimates the expected rounds for k tokens started at `start` to visit
-/// `target` distinct vertices (target = num_vertices() → C^k_start).
+/// In-core source: each trial runs on the calling thread's pooled
+/// WalkEngineT<S> (walk/cover.hpp), so trials may fan out over the pool
+/// and the estimate is planned by apply_thread_budget.
 template <Substrate S>
-McResult estimate_cover_to_target(const S& substrate, Vertex start, unsigned k,
-                                  Vertex target, const McOptions& mc,
-                                  const CoverOptions& cover = {},
-                                  ThreadPool* pool = nullptr) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(k, pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [substrate, start, k, target, cover_planned](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k, start);
-        const CoverSample sample =
-            sample_cover_to_target(substrate, starts, target, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
-}
+struct InCore {
+  explicit InCore(S bound) : substrate(std::move(bound)) {}
 
-template <Substrate S>
-McResult estimate_cover_time(const S& substrate, Vertex start,
-                             const McOptions& mc, const CoverOptions& cover = {},
-                             ThreadPool* pool = nullptr) {
-  return estimate_cover_to_target(substrate, start, 1,
-                                  substrate.num_vertices(), mc, cover, pool);
-}
-
-template <Substrate S>
-McResult estimate_k_cover_time(const S& substrate, Vertex start, unsigned k,
-                               const McOptions& mc,
-                               const CoverOptions& cover = {},
-                               ThreadPool* pool = nullptr) {
-  return estimate_cover_to_target(substrate, start, k,
-                                  substrate.num_vertices(), mc, cover, pool);
-}
-
-/// The speed-up curve over a per-k estimate, with the curve's seeding
-/// stated once for every backend: the k = 1 baseline runs on stream
-/// mix64(seed ^ 0x1a1c) and is reused for every k; each k > 1 runs on
-/// mix64(seed ^ (0xbeef00 + k)). `estimate(k, mc)` returns T^k under the
-/// McOptions it is handed.
-template <class Estimate>
-std::vector<SpeedupEstimate> estimate_speedup_curve_with(
-    std::span<const unsigned> ks, const McOptions& mc, Estimate&& estimate) {
-  MW_REQUIRE(!ks.empty(), "need at least one k");
-  McOptions base = mc;
-  base.seed = mix64(mc.seed ^ 0x1a1cULL);  // distinct stream for the baseline
-  const McResult single = estimate(1u, base);
-
-  std::vector<SpeedupEstimate> curve;
-  curve.reserve(ks.size());
-  for (unsigned k : ks) {
-    MW_REQUIRE(k >= 1, "k must be >= 1");
-    McOptions per_k = mc;
-    per_k.seed = mix64(mc.seed ^ (0xbeef00ULL + k));
-    const McResult multi = k == 1 ? single : estimate(k, per_k);
-    SpeedupEstimate est = combine_speedup(k, single, multi);
-    if (k == 1) {
-      // Numerator and denominator are the same estimate: S^1 is exactly 1
-      // with no uncertainty (perfectly correlated errors) — and exactly 1
-      // even when the baseline was censored, so the ratio is not flagged
-      // (the T^1 column still is).
-      est.half_width = 0.0;
-      est.censored = 0;
-    }
-    curve.push_back(est);
+  Vertex num_vertices() const { return substrate.num_vertices(); }
+  ThreadPool* plan(std::size_t lanes, ThreadPool* pool, McOptions& mc,
+                   CoverOptions& cover) const {
+    apply_thread_budget(lanes, pool, mc, cover);
+    return pool;
   }
-  return curve;
-}
-
-/// Estimates S^k = T¹(target)/T^k(target) across several k, reusing one
-/// k = 1 baseline (seeding: estimate_speedup_curve_with).
-template <Substrate S>
-std::vector<SpeedupEstimate> estimate_speedup_curve_to_target(
-    const S& substrate, Vertex start, Vertex target,
-    std::span<const unsigned> ks, const McOptions& mc,
-    const CoverOptions& cover = {}, ThreadPool* pool = nullptr) {
-  std::unique_ptr<ThreadPool> local_pool;
-  if (pool == nullptr) {
-    local_pool = std::make_unique<ThreadPool>(mc.threads);
-    pool = local_pool.get();
+  CoverSample walk(std::span<const Vertex> starts, Vertex target, Rng& rng,
+                   const CoverOptions& cover) const {
+    return sample_cover_to_target(substrate, starts, target, rng, cover);
   }
-  return estimate_speedup_curve_with(
-      ks, mc, [&](unsigned k, const McOptions& mc_k) {
-        return estimate_cover_to_target(substrate, start, k, target, mc_k,
-                                        cover, pool);
-      });
-}
 
-template <Substrate S>
-std::vector<SpeedupEstimate> estimate_speedup_curve(
-    const S& substrate, Vertex start, std::span<const unsigned> ks,
-    const McOptions& mc, const CoverOptions& cover = {},
-    ThreadPool* pool = nullptr) {
-  return estimate_speedup_curve_to_target(substrate, start,
-                                          substrate.num_vertices(), ks, mc,
-                                          cover, pool);
-}
-
-// --- out-of-core (block-scheduled) overloads ---------------------------------
-//
-// The same fixed-target estimators over a shared BlockWalkEngine
-// (walk/block_engine.hpp) instead of a substrate. One engine — and so
-// one extent cache — serves every trial, which forces the trial loop
-// serial: the options are pinned to kLanes parallelism with no pool
-// (run_monte_carlo's serial caller loop) and the per-trial streams,
-// reduction order, and seeding scheme are exactly the substrate
-// overloads', so for a given (graph, seed) the estimates are
-// BIT-IDENTICAL to the in-core path at any memory budget (determinism
-// contract v4).
+  S substrate;
+};
 
 class BlockWalkEngine;
 
-/// Engine/cache activity aggregated across a blocked run. Every trial
+/// Engine/cache activity aggregated across an out-of-core run. Every trial
 /// starts from zeroed counters (BlockWalkEngine::reset_stats), so these
 /// are sums of independent per-trial readings — not points on one
 /// monotone series — and the peak field is a true per-trial maximum.
@@ -278,21 +97,253 @@ struct BlockedRunTotals {
   void absorb(const BlockWalkEngine& engine);
 };
 
+/// Out-of-core source: one shared BlockWalkEngine (walk/block_engine.hpp)
+/// — and so one extent cache — walks every trial, which keeps the trial
+/// loop serial on the caller: the plan is kLanes with no pool and no lane
+/// shards. Engine counters restart at each trial; `totals`, when set,
+/// collects the per-trial aggregate for a run summary.
+struct OutOfCore {
+  BlockWalkEngine& engine;
+  BlockedRunTotals* totals = nullptr;
+
+  Vertex num_vertices() const;
+  ThreadPool* plan(std::size_t lanes, ThreadPool* pool, McOptions& mc,
+                   CoverOptions& cover) const;
+  CoverSample walk(std::span<const Vertex> starts, Vertex target, Rng& rng,
+                   const CoverOptions& cover) const;
+};
+
+// --- the funnel --------------------------------------------------------------
+
+/// THE cover estimator: the expected rounds for k tokens, placed by
+/// `draw_starts` (walk/sampling.hpp placements), to visit `target`
+/// distinct vertices — target = n is the cover time; fixed partial targets
+/// are what the giant-graph experiments sample, where full cover is out of
+/// reach. Trial i draws make_trial_rng(mc.seed, i) and trials reduce in
+/// index order, so an estimate is bit-identical across thread counts and
+/// across the two engine sources. `samples`, when set, receives each
+/// trial's value in trial order.
+template <class Engines, class DrawStarts>
+McResult estimate_cover(const Engines& engines, std::size_t k,
+                        const DrawStarts& draw_starts, Vertex target,
+                        const McOptions& mc, const CoverOptions& cover = {},
+                        ThreadPool* pool = nullptr,
+                        std::vector<double>* samples = nullptr) {
+  MW_REQUIRE(k >= 1, "k must be >= 1");
+  McOptions mc_run = mc;
+  CoverOptions cover_run = cover;
+  pool = engines.plan(k, pool, mc_run, cover_run);
+  if (samples != nullptr) samples->assign(mc_run.max_trials, 0.0);
+  McResult result = run_monte_carlo(
+      [&](std::uint64_t index, Rng& rng) {
+        std::vector<Vertex> starts(k);
+        draw_starts(rng, std::span<Vertex>(starts));
+        const CoverSample sample = engines.walk(starts, target, rng, cover_run);
+        const auto steps = static_cast<double>(sample.steps);
+        if (samples != nullptr) (*samples)[index] = steps;
+        return TrialOutcome{steps, !sample.covered};
+      },
+      mc_run, pool);
+  if (samples != nullptr) samples->resize(result.stats.count());
+  return result;
+}
+
+// --- cover estimators: one-line calls of the funnel --------------------------
+
+/// k tokens at `start` to `target` distinct vertices on a substrate.
+template <Substrate S>
+McResult estimate_cover_to_target(const S& substrate, Vertex start, unsigned k,
+                                  Vertex target, const McOptions& mc,
+                                  const CoverOptions& cover = {},
+                                  ThreadPool* pool = nullptr) {
+  return estimate_cover(InCore(substrate), k, same_vertex_starts(start),
+                        target, mc, cover, pool);
+}
+
+/// The k-walk expected cover time C^k_start (k tokens at start).
+template <Substrate S>
+McResult estimate_k_cover_time(const S& substrate, Vertex start, unsigned k,
+                               const McOptions& mc,
+                               const CoverOptions& cover = {},
+                               ThreadPool* pool = nullptr) {
+  return estimate_cover_to_target(substrate, start, k,
+                                  substrate.num_vertices(), mc, cover, pool);
+}
+inline McResult estimate_k_cover_time(const Graph& g, Vertex start,
+                                      unsigned k, const McOptions& mc,
+                                      const CoverOptions& cover = {},
+                                      ThreadPool* pool = nullptr) {
+  return estimate_k_cover_time(CsrSubstrate(g), start, k, mc, cover, pool);
+}
+
+/// The single-walk expected cover time C_start.
+template <Substrate S>
+McResult estimate_cover_time(const S& substrate, Vertex start,
+                             const McOptions& mc,
+                             const CoverOptions& cover = {},
+                             ThreadPool* pool = nullptr) {
+  return estimate_k_cover_time(substrate, start, 1, mc, cover, pool);
+}
+inline McResult estimate_cover_time(const Graph& g, Vertex start,
+                                    const McOptions& mc,
+                                    const CoverOptions& cover = {},
+                                    ThreadPool* pool = nullptr) {
+  return estimate_k_cover_time(CsrSubstrate(g), start, 1, mc, cover, pool);
+}
+
+/// The cover time of a k-walk with explicit starting vertices.
+inline McResult estimate_multi_cover_time(const Graph& g,
+                                          std::span<const Vertex> starts,
+                                          const McOptions& mc,
+                                          const CoverOptions& cover = {},
+                                          ThreadPool* pool = nullptr) {
+  return estimate_cover(InCore(CsrSubstrate(g)), starts.size(),
+                        fixed_starts(starts), g.num_vertices(), mc, cover,
+                        pool);
+}
+
+/// k-walk cover time with the k starting vertices RE-DRAWN each trial from
+/// the stationary distribution — the setting of the paper's §1.1
+/// comparison with Broder et al. (expected O(m^2 log^3 n / k^2)) and of
+/// the Lemma 19 remark (O(n log n / k) on expanders).
+inline McResult estimate_stationary_start_cover(const Graph& g, unsigned k,
+                                                const McOptions& mc,
+                                                const CoverOptions& cover = {},
+                                                ThreadPool* pool = nullptr) {
+  return estimate_cover(InCore(CsrSubstrate(g)), k,
+                        stationary_starts(g.offsets()), g.num_vertices(), mc,
+                        cover, pool);
+}
+
+/// Raw k-walk cover-time samples (k tokens from `start`): `trials` fixed
+/// trials under master seed `seed`, one value per trial, in trial order.
+/// For distribution/concentration studies (paper Thm 17: tau/C -> 1 when
+/// C/h_max -> infinity).
+inline std::vector<double> collect_cover_samples(
+    const Graph& g, Vertex start, unsigned k, std::uint64_t trials,
+    std::uint64_t seed, const CoverOptions& cover = {},
+    ThreadPool* pool = nullptr) {
+  MW_REQUIRE(trials >= 1, "need at least one trial");
+  McOptions mc;
+  mc.min_trials = trials;
+  mc.max_trials = trials;
+  mc.seed = seed;
+  std::vector<double> samples;
+  estimate_cover(InCore(CsrSubstrate(g)), k, same_vertex_starts(start),
+                 g.num_vertices(), mc, cover, pool, &samples);
+  return samples;
+}
+
 /// Expected rounds for k tokens at `start` to visit `target` distinct
-/// vertices, sampled through the out-of-core engine. Engine counters are
-/// reset at each trial start; pass `totals` to collect the per-trial
-/// aggregate for a run summary.
+/// vertices through the block engine: estimate_cover over
+/// OutOfCore{engine, totals}. Kept as the perfbench `ooc` entry point.
 McResult estimate_cover_to_target_blocked(BlockWalkEngine& engine,
                                           Vertex start, unsigned k,
                                           Vertex target, const McOptions& mc,
                                           const CoverOptions& cover = {},
                                           BlockedRunTotals* totals = nullptr);
 
-/// S^k curve with one reused k = 1 baseline (seeding:
-/// estimate_speedup_curve_with).
-std::vector<SpeedupEstimate> estimate_speedup_curve_to_target_blocked(
-    BlockWalkEngine& engine, Vertex start, Vertex target,
+// --- speed-up ----------------------------------------------------------------
+
+/// A measured speed-up point S^k = Ĉ / Ĉ^k.
+struct SpeedupEstimate {
+  unsigned k = 1;
+  McResult single;  ///< Ĉ (k = 1)
+  McResult multi;   ///< Ĉ^k
+  double speedup = 1.0;
+  /// First-order propagated half-width:
+  /// S * sqrt((δC/C)^2 + (δC^k/C^k)^2).
+  double half_width = 0.0;
+  /// Step-cap-censored trials feeding either side. When nonzero the ratio
+  /// divides biased (lower-bound) means, so it is flagged everywhere it is
+  /// rendered instead of being reported as a clean estimate.
+  std::uint64_t censored = 0;
+};
+
+/// Combines two cover-time estimates into a speed-up with propagated error.
+SpeedupEstimate combine_speedup(unsigned k, const McResult& single,
+                                const McResult& multi);
+
+/// Estimates S^k = T¹(target)/T^k(target) across several k on either
+/// engine source, with the curve's seeding stated once: the k = 1
+/// baseline runs on stream mix64(seed ^ 0x1a1c) and is reused for every
+/// k; each k > 1 runs on mix64(seed ^ (0xbeef00 + k)).
+template <class Engines>
+std::vector<SpeedupEstimate> estimate_speedup_curve_to_target(
+    const Engines& engines, Vertex start, Vertex target,
     std::span<const unsigned> ks, const McOptions& mc,
-    const CoverOptions& cover = {}, BlockedRunTotals* totals = nullptr);
+    const CoverOptions& cover = {}, ThreadPool* pool = nullptr) {
+  MW_REQUIRE(!ks.empty(), "need at least one k");
+  const auto estimate = [&](unsigned k, std::uint64_t salt) {
+    McOptions seeded = mc;
+    seeded.seed = mix64(mc.seed ^ salt);
+    return estimate_cover(engines, k, same_vertex_starts(start), target,
+                          seeded, cover, pool);
+  };
+  const McResult single = estimate(1, 0x1a1cULL);
+
+  std::vector<SpeedupEstimate> curve;
+  curve.reserve(ks.size());
+  for (unsigned k : ks) {
+    MW_REQUIRE(k >= 1, "k must be >= 1");
+    const McResult multi = k == 1 ? single : estimate(k, 0xbeef00ULL + k);
+    SpeedupEstimate est = combine_speedup(k, single, multi);
+    if (k == 1) {
+      // Numerator and denominator are the same estimate: S^1 is exactly 1
+      // with no uncertainty (perfectly correlated errors) — and exactly 1
+      // even when the baseline was censored, so the ratio is not flagged
+      // (the T^1 column still is).
+      est.half_width = 0.0;
+      est.censored = 0;
+    }
+    curve.push_back(est);
+  }
+  return curve;
+}
+
+/// S^k across several k for full cover, reusing one k = 1 baseline.
+template <Substrate S>
+std::vector<SpeedupEstimate> estimate_speedup_curve(
+    const S& substrate, Vertex start, std::span<const unsigned> ks,
+    const McOptions& mc, const CoverOptions& cover = {},
+    ThreadPool* pool = nullptr) {
+  return estimate_speedup_curve_to_target(InCore(substrate), start,
+                                          substrate.num_vertices(), ks, mc,
+                                          cover, pool);
+}
+inline std::vector<SpeedupEstimate> estimate_speedup_curve(
+    const Graph& g, Vertex start, std::span<const unsigned> ks,
+    const McOptions& mc, const CoverOptions& cover = {},
+    ThreadPool* pool = nullptr) {
+  return estimate_speedup_curve(CsrSubstrate(g), start, ks, mc, cover, pool);
+}
+
+/// S^k at a single k (runs both the 1-walk and the k-walk).
+inline SpeedupEstimate estimate_speedup(const Graph& g, Vertex start,
+                                        unsigned k, const McOptions& mc,
+                                        const CoverOptions& cover = {},
+                                        ThreadPool* pool = nullptr) {
+  const unsigned ks[1] = {k};
+  return estimate_speedup_curve(g, start, ks, mc, cover, pool).front();
+}
+
+// --- beyond cover ------------------------------------------------------------
+
+/// Estimates h(from, to) for a single walk.
+McResult estimate_hitting_time(const Graph& g, Vertex from, Vertex to,
+                               const McOptions& mc, const HitOptions& hit = {},
+                               ThreadPool* pool = nullptr);
+
+/// C(G) = max_i C_i over the supplied candidate starts (each estimated
+/// independently; returns the max and its argmax).
+struct MaxCoverEstimate {
+  McResult result;
+  Vertex argmax_start = 0;
+};
+MaxCoverEstimate estimate_max_cover_time(const Graph& g,
+                                         std::span<const Vertex> starts,
+                                         const McOptions& mc,
+                                         const CoverOptions& cover = {},
+                                         ThreadPool* pool = nullptr);
 
 }  // namespace manywalks

@@ -302,8 +302,12 @@ const std::byte* ExtentCache::acquire(std::uint64_t byte_begin,
     }
     return lru_.front().extent.data();
   }
-  lru_.push_front(
-      Entry{byte_begin, byte_end, graph_->map_extent(byte_begin, byte_end)});
+  MappedExtent extent = graph_->map_extent(byte_begin, byte_end);
+  if (!checked_.contains(byte_begin)) {
+    check_targets(byte_begin, byte_end, extent.data());
+    checked_.insert(byte_begin);
+  }
+  lru_.push_front(Entry{byte_begin, byte_end, std::move(extent)});
   by_begin_.emplace(byte_begin, lru_.begin());
   const std::uint64_t bytes = byte_end - byte_begin;
   ++stats_.loads;
@@ -341,6 +345,27 @@ const std::byte* ExtentCache::acquire(std::uint64_t byte_begin,
     }
   }
   return lru_.front().extent.data();
+}
+
+void ExtentCache::check_targets(std::uint64_t byte_begin,
+                                std::uint64_t byte_end,
+                                const std::byte* data) const {
+  // Only the part of the extent inside the targets array holds vertices.
+  const std::uint64_t targets_begin = graph_->targets_byte_begin();
+  const std::uint64_t targets_end = graph_->arc_byte(graph_->num_arcs());
+  if (byte_end <= targets_begin || byte_begin >= targets_end) return;
+  const std::uint64_t first =
+      (std::max(byte_begin, targets_begin) - targets_begin + sizeof(Vertex) -
+       1) / sizeof(Vertex);
+  const std::uint64_t last =
+      (std::min(byte_end, targets_end) - targets_begin) / sizeof(Vertex);
+  const Vertex n = graph_->num_vertices();
+  for (std::uint64_t a = first; a < last; ++a) {
+    Vertex u = 0;
+    std::memcpy(&u, data + (graph_->arc_byte(a) - byte_begin), sizeof(u));
+    MW_REQUIRE(u < n, "'" << graph_->path() << "': target " << u
+                          << " out of range at arc " << a);
+  }
 }
 
 }  // namespace manywalks

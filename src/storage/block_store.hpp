@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 
@@ -168,6 +169,11 @@ class BlockedGraph {
 /// Pointers returned by acquire() are valid until a LATER acquire()
 /// evicts that extent; the block engine's contract is to finish with a
 /// block's pointer before acquiring the next block.
+///
+/// The first load of an extent in a cache's lifetime range-checks the
+/// target words it holds (< n), so a corrupt store fails with
+/// std::invalid_argument instead of sending a walker off the tracker. The
+/// check is one sequential pass over bytes the load just read.
 class ExtentCache {
  public:
   struct Stats {
@@ -207,10 +213,14 @@ class ExtentCache {
     MappedExtent extent;
   };
 
+  void check_targets(std::uint64_t byte_begin, std::uint64_t byte_end,
+                     const std::byte* data) const;
+
   const BlockedGraph* graph_;
   std::uint64_t budget_;
   std::list<Entry> lru_;  // front = most recently acquired
   std::map<std::uint64_t, std::list<Entry>::iterator> by_begin_;
+  std::set<std::uint64_t> checked_;  // byte_begin of every checked extent
   Stats stats_;
 };
 

@@ -19,10 +19,11 @@
 // Validation: loading always checks the header (magic, endianness tag,
 // version, exact file size) and scans the offsets array (monotone, starts
 // at 0, ends at num_arcs, degree extremes match the header) — O(n) over
-// pages the stats queries touch anyway. Validate::kDeep additionally
-// checks every target is in range and every row is sorted — O(m), pages
-// in the whole adjacency, and is meant for foreign files (`manywalks
-// graph info --deep`), not the hot load path.
+// pages the stats queries touch anyway. Validate::kTargets additionally
+// checks every target is in range — one O(m) sequential pass, which a
+// walk needs before it indexes its visit tracker with the targets.
+// Validate::kDeep also checks that rows are sorted and the loop count,
+// and is meant for foreign files (`manywalks graph info --deep`).
 #pragma once
 
 #include <cstdint>
@@ -51,7 +52,8 @@ class MappedGraph {
  public:
   enum class Validate {
     kStructure,  ///< header + offsets scan (default; never touches targets)
-    kDeep,       ///< + targets in range, rows sorted (pages in everything)
+    kTargets,    ///< + every target in range (what walking needs)
+    kDeep,       ///< + rows sorted, loop count (pages in everything)
   };
 
   /// Maps `path` read-only and validates. Throws std::invalid_argument on

@@ -84,6 +84,8 @@ class BlockWalkEngine {
   /// to one combined call.
   void run_for_steps(std::uint64_t rounds, Rng& rng, double laziness = 0.0);
 
+  const BlockedGraph& graph() const noexcept { return *graph_; }
+  std::uint64_t mem_budget() const noexcept { return cache_.budget_bytes(); }
   Vertex num_vertices() const noexcept { return graph_->num_vertices(); }
   Vertex num_visited() const noexcept { return tracker_.num_visited(); }
   bool visited(Vertex v) const { return tracker_.visited(v); }
@@ -94,8 +96,8 @@ class BlockWalkEngine {
   }
 
   /// Zeroes the engine's schedule counters and the cache's traffic
-  /// counters so per-trial attribution is possible (the blocked estimators
-  /// share one engine across trials). Pure bookkeeping: no cached extent
+  /// counters so per-trial attribution is possible (an OutOfCore estimate
+  /// shares one engine across trials). Pure bookkeeping: no cached extent
   /// is dropped, no schedule state changes.
   void reset_stats() noexcept {
     stats_ = Stats{};

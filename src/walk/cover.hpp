@@ -28,9 +28,10 @@
 
 namespace manywalks {
 
-/// One cover-time sample of a single walk from `start`. (All the samplers
-/// here amortize engine construction via a per-thread WalkEngine; callers
-/// needing finer control hold a WalkEngine directly.)
+/// One cover-time sample of a single walk from `start`. (Every sampler here
+/// runs on the calling thread's pooled engine, pooled_substrate_engine
+/// below; Monte-Carlo estimates go through mc/estimators.hpp's
+/// estimate_cover instead of looping over these.)
 CoverSample sample_cover_time(const Graph& g, Vertex start, Rng& rng,
                               const CoverOptions& options = {});
 
@@ -84,9 +85,9 @@ std::vector<std::uint64_t> sample_visit_counts(const Graph& g, Vertex start,
 // the giant-graph experiments run at n = 10^7–10^8.
 
 /// Reusable per-thread engine, one cached instance per substrate TYPE per
-/// thread (cf. the pooled CSR engine in cover.cpp): a Monte-Carlo estimate
-/// calls the samplers thousands of times on the same substrate from pool
-/// worker threads, and rebinding is a value comparison away.
+/// thread (the Graph samplers in cover.cpp use the CsrSubstrate one): a
+/// Monte-Carlo estimate walks thousands of trials on the same substrate
+/// from pool worker threads, and rebinding is a value comparison away.
 template <Substrate S>
 WalkEngineT<S>& pooled_substrate_engine(const S& substrate) {
   thread_local std::optional<WalkEngineT<S>> engine;
@@ -99,7 +100,7 @@ WalkEngineT<S>& pooled_substrate_engine(const S& substrate) {
 /// One k-walk trial run until `target` distinct vertices are visited or
 /// the cap is reached (the primitive the fixed-target giant experiments
 /// sample: full cover at n = 10^8 is out of reach, partial cover is not).
-/// This is the funnel every cover sampler delegates through.
+/// Every sampler here, and the InCore engine source, delegates through it.
 template <Substrate S>
 CoverSample sample_cover_to_target(const S& substrate,
                                    std::span<const Vertex> starts,

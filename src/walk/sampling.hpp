@@ -3,7 +3,8 @@
 // The paper's main question starts all k walks from ONE vertex, but its
 // §1.1 comparison with Broder–Karlin–Raghavan–Upfal concerns walks started
 // from the stationary distribution, and the placement ablation
-// (bench/fig_start_placement) needs uniform and spread placements too.
+// (`manywalks run fig_start_placement`) needs uniform and spread
+// placements too.
 #pragma once
 
 #include <algorithm>
@@ -39,26 +40,37 @@ inline Vertex sample_stationary_vertex(const Graph& g, Rng& rng) {
   return sample_stationary_vertex_csr(g.offsets(), rng);
 }
 
-/// k independent stationary starts (with repetition).
-inline std::vector<Vertex> sample_stationary_starts(const Graph& g, unsigned k,
-                                                    Rng& rng) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  std::vector<Vertex> starts(k);
-  for (Vertex& s : starts) s = sample_stationary_vertex(g, rng);
-  return starts;
-}
+// Start placements for the cover funnel (mc/estimators.hpp): each fills
+// one trial's k start slots, drawing from the trial's stream when it is
+// random (before the engine draws its lanes).
 
-/// k independent uniform starts (with repetition). Uses the full-word
-/// Lemire draw: at giant n the 32-bit uniform_below re-draws with
-/// probability (2^32 mod n)/2^32 (~2.2% at n = 10^8); the wide path makes
-/// rejection vanishingly rare.
-inline std::vector<Vertex> sample_uniform_starts(const Graph& g, unsigned k,
-                                                 Rng& rng) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  MW_REQUIRE(g.num_vertices() > 0, "uniform sampling needs vertices");
-  std::vector<Vertex> starts(k);
-  for (Vertex& s : starts) s = rng.uniform_below_wide(g.num_vertices());
-  return starts;
+/// All k tokens at `start` (the paper's τ^k_start).
+inline auto same_vertex_starts(Vertex start) {
+  return [start](Rng&, std::span<Vertex> out) {
+    std::fill(out.begin(), out.end(), start);
+  };
+}
+/// Explicit starts, one per token; the span must outlive the estimate.
+inline auto fixed_starts(std::span<const Vertex> starts) {
+  return [starts](Rng&, std::span<Vertex> out) {
+    std::copy(starts.begin(), starts.end(), out.begin());
+  };
+}
+/// k independent stationary starts (with repetition), re-drawn per trial.
+inline auto stationary_starts(std::span<const std::uint64_t> offsets) {
+  return [offsets](Rng& rng, std::span<Vertex> out) {
+    for (Vertex& s : out) s = sample_stationary_vertex_csr(offsets, rng);
+  };
+}
+/// k independent uniform starts (with repetition), re-drawn per trial.
+/// Uses the full-word Lemire draw: at giant n the 32-bit uniform_below
+/// re-draws with probability (2^32 mod n)/2^32 (~2.2% at n = 10^8); the
+/// wide path makes rejection vanishingly rare.
+inline auto uniform_starts(Vertex n) {
+  MW_REQUIRE(n > 0, "uniform sampling needs vertices");
+  return [n](Rng& rng, std::span<Vertex> out) {
+    for (Vertex& s : out) s = rng.uniform_below_wide(n);
+  };
 }
 
 /// k starts spread over the graph by greedy k-center on BFS distances:

@@ -483,7 +483,7 @@ TEST(BlockEngineContract, LazyWalkBitIdentical) {
   expect_same_end_state(in_core, engine);
 }
 
-// --- blocked estimators ------------------------------------------------------
+// --- the cover funnel over the out-of-core source ---------------------------
 
 TEST(BlockedEstimators, CoverEstimateMatchesInCore) {
   const Graph graph = make_margulis_expander(16);
@@ -499,12 +499,23 @@ TEST(BlockedEstimators, CoverEstimateMatchesInCore) {
       graph, /*start=*/0, /*k=*/8, mc, CoverOptions{}, nullptr);
 
   BlockWalkEngine engine(blocked, 4096);
-  const McResult got = estimate_cover_to_target_blocked(
-      engine, /*start=*/0, /*k=*/8, graph.num_vertices(), mc);
+  BlockedRunTotals totals;
+  const McResult got =
+      estimate_cover(OutOfCore{engine, &totals}, /*k=*/8,
+                     same_vertex_starts(0), graph.num_vertices(), mc);
   EXPECT_EQ(expect.ci.count, got.ci.count);
   EXPECT_EQ(expect.ci.mean, got.ci.mean);
   EXPECT_EQ(expect.ci.half_width, got.ci.half_width);
   EXPECT_EQ(expect.censored, got.censored);
+  EXPECT_EQ(totals.trials, got.ci.count);
+  EXPECT_GT(totals.cache_loads, 0u);
+
+  // The perfbench entry point forwards to the same funnel.
+  BlockWalkEngine again(blocked, 4096);
+  const McResult forwarded = estimate_cover_to_target_blocked(
+      again, /*start=*/0, /*k=*/8, graph.num_vertices(), mc);
+  EXPECT_EQ(expect.ci.mean, forwarded.ci.mean);
+  EXPECT_EQ(expect.ci.half_width, forwarded.ci.half_width);
 }
 
 TEST(BlockedEstimators, SpeedupCurveMatchesInCore) {
@@ -512,7 +523,6 @@ TEST(BlockedEstimators, SpeedupCurveMatchesInCore) {
   TempFile file("est_curve.mwg");
   write_mwg(file.path(), graph, 5);
   const BlockedGraph blocked(file.path());
-  const CsrSubstrate substrate(graph);
   const auto target = static_cast<Vertex>(graph.num_vertices() * 9 / 10);
   const std::vector<unsigned> ks = {1, 2, 4, 8};
 
@@ -521,11 +531,11 @@ TEST(BlockedEstimators, SpeedupCurveMatchesInCore) {
   mc.max_trials = 8;
   mc.seed = 0x5eedULL;
   const auto expect = estimate_speedup_curve_to_target(
-      substrate, 0, target, ks, mc, CoverOptions{}, nullptr);
+      InCore(CsrSubstrate(graph)), 0, target, ks, mc, CoverOptions{}, nullptr);
 
   BlockWalkEngine engine(blocked, 1 << 14);
-  const auto got = estimate_speedup_curve_to_target_blocked(
-      engine, 0, target, ks, mc);
+  const auto got = estimate_speedup_curve_to_target(OutOfCore{engine}, 0,
+                                                    target, ks, mc);
   ASSERT_EQ(expect.size(), got.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     SCOPED_TRACE(ks[i]);
@@ -534,6 +544,31 @@ TEST(BlockedEstimators, SpeedupCurveMatchesInCore) {
     EXPECT_EQ(expect[i].speedup, got[i].speedup);
     EXPECT_EQ(expect[i].half_width, got[i].half_width);
   }
+}
+
+TEST(BlockedEstimators, DrawnStartsMatchInCore) {
+  // Random placements draw their starts from the trial stream before the
+  // engine draws its lanes; both sources must consume it identically.
+  const Graph graph = make_barbell(33);
+  TempFile file("est_starts.mwg");
+  write_mwg(file.path(), graph, 4);
+  const BlockedGraph blocked(file.path());
+  McOptions mc;
+  mc.min_trials = 6;
+  mc.max_trials = 6;
+  mc.seed = 0x57a7ULL;
+  const InCore in_core{CsrSubstrate(graph)};
+  BlockWalkEngine engine(blocked, 2048);
+  const OutOfCore out_of_core{engine};
+  const Vertex n = graph.num_vertices();
+
+  const auto stationary = stationary_starts(graph.offsets());
+  EXPECT_EQ(estimate_cover(in_core, 4, stationary, n, mc).ci.mean,
+            estimate_cover(out_of_core, 4, stationary, n, mc).ci.mean);
+  EXPECT_EQ(estimate_cover(in_core, 4, uniform_starts(n), n, mc).ci.mean,
+            estimate_cover(out_of_core, 4, uniform_starts(n), n, mc).ci.mean);
+  EXPECT_EQ(estimate_stationary_start_cover(graph, 4, mc).ci.mean,
+            estimate_cover(out_of_core, 4, stationary, n, mc).ci.mean);
 }
 
 }  // namespace

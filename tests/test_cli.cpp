@@ -529,6 +529,28 @@ TEST(Driver, FewTrialsRunToValidJson) {
   EXPECT_NE(one.out.find("\"half_width\": null"), std::string::npos);
 }
 
+TEST(Driver, BlockWalkRejectsOptionsItCannotHonor) {
+  // The block engine walks each trial on one thread, so a lane-shard cap
+  // would be silently ignored; like --mem-budget without --block-walk, the
+  // combination is a clean error, never a run.
+  for (const char* name : {"mwg-speedup", "mwg-starts"}) {
+    SCOPED_TRACE(name);
+    const DriverRun sharded =
+        run_driver(name, {"--graph", mwg_smoke_fixture(), "--block-walk",
+                          "--lane-shards", "4"});
+    EXPECT_EQ(sharded.exit_code, 1);
+    EXPECT_TRUE(sharded.out.empty()) << sharded.out;
+    EXPECT_NE(sharded.err.find("--lane-shards"), std::string::npos)
+        << sharded.err;
+    const DriverRun budget =
+        run_driver(name, {"--graph", mwg_smoke_fixture(), "--mem-budget",
+                          "64K"});
+    EXPECT_EQ(budget.exit_code, 1);
+    EXPECT_NE(budget.err.find("--mem-budget"), std::string::npos)
+        << budget.err;
+  }
+}
+
 // --- docs contract ----------------------------------------------------------
 
 TEST(Docs, ReproducingGuideListsEveryExperiment) {

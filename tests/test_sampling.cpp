@@ -50,19 +50,41 @@ TEST(StationarySampling, HandlesLoops) {
   EXPECT_NEAR(static_cast<double>(v0) / trials, 0.6, 0.02);  // 3/5 arcs
 }
 
-TEST(StationarySampling, StartsVectorHasSizeK) {
+TEST(StationarySampling, PlacementsFillEveryStartSlot) {
   const Graph g = make_cycle(6);
   Rng rng(4);
-  EXPECT_EQ(sample_stationary_starts(g, 7, rng).size(), 7u);
-  EXPECT_EQ(sample_uniform_starts(g, 3, rng).size(), 3u);
+  std::vector<Vertex> seven(7, kInvalidVertex);
+  stationary_starts(g.offsets())(rng, seven);
+  for (Vertex v : seven) EXPECT_LT(v, 6u);
+  std::vector<Vertex> three(3, kInvalidVertex);
+  uniform_starts(g.num_vertices())(rng, three);
+  for (Vertex v : three) EXPECT_LT(v, 6u);
+  same_vertex_starts(2)(rng, three);
+  EXPECT_EQ(three, (std::vector<Vertex>{2, 2, 2}));
+  const std::vector<Vertex> given = {5, 0, 3};
+  fixed_starts(given)(rng, three);
+  EXPECT_EQ(three, given);
+}
+
+TEST(StationarySampling, PlacementDrawsMatchTheVertexSampler) {
+  // A drawn placement consumes the trial stream exactly like k calls of
+  // sample_stationary_vertex — the order the cover funnel relies on.
+  const Graph g = make_barbell(11);
+  Rng a(8), b(8);
+  std::vector<Vertex> starts(5);
+  stationary_starts(g.offsets())(a, starts);
+  for (Vertex v : starts) EXPECT_EQ(v, sample_stationary_vertex(g, b));
+  EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(UniformSampling, CoversAllVertices) {
   const Graph g = make_cycle(5);
   Rng rng(5);
   std::set<Vertex> seen;
+  std::vector<Vertex> starts(2);
   for (int i = 0; i < 500; ++i) {
-    for (Vertex v : sample_uniform_starts(g, 2, rng)) seen.insert(v);
+    uniform_starts(g.num_vertices())(rng, starts);
+    seen.insert(starts.begin(), starts.end());
   }
   EXPECT_EQ(seen.size(), 5u);
 }

@@ -1,6 +1,7 @@
 // The storage/ subsystem: mwg round-trips across every generator family,
-// malformed-file rejection, mmap-vs-in-core walk-engine bit identity in
-// both rng modes (including the registered mwg experiments), external
+// malformed-file rejection (corrupt targets included), mmap-vs-in-core
+// walk-engine bit identity (including the registered mwg experiments over
+// every engine source), external
 // edge-list ingestion corner cases, and the zero-adjacency-read contract
 // of the shallow (info) load path at 10^6 vertices.
 #include <gtest/gtest.h>
@@ -18,9 +19,12 @@
 #include "cli/sinks.hpp"
 #include "core/families.hpp"
 #include "graph/generators.hpp"
+#include "mc/estimators.hpp"
+#include "storage/block_store.hpp"
 #include "storage/ingest.hpp"
 #include "storage/mapped_graph.hpp"
 #include "storage/mwg.hpp"
+#include "walk/block_engine.hpp"
 #include "walk/engine.hpp"
 #include "walk/sampling.hpp"
 
@@ -339,43 +343,139 @@ TEST(MappedEngine, StationaryCsrSamplingMatchesGraphSampling) {
 
 // --- the registered experiments off a file -----------------------------------
 
-TEST(MwgExperiments, SpeedupByteIdenticalMappedVsInCore) {
-  // The mwg-speedup experiment body run from the file produces
-  // byte-identical results to the same graph built in memory, same seed.
-  const Graph g = make_margulis_expander(6);
-  TempFile file("exp.mwg");
-  write_mwg(file.path(), g);
-  const MappedGraph mapped(file.path());
+/// The result without its engine-source echo (the "parallelism",
+/// "lane_shards" and "mem_budget" params, the preamble and the block
+/// engine's cache note), rendered as JSON: what every source must agree on.
+std::string tables_json(ExperimentResult result) {
+  std::erase_if(result.params, [](const auto& param) {
+    return param.first == "parallelism" || param.first == "lane_shards" ||
+           param.first == "mem_budget";
+  });
+  std::erase_if(result.notes, [](const std::string& note) {
+    return note.starts_with("block engine (");
+  });
+  result.preamble.clear();
+  return cli::render_json(result);
+}
 
+/// Runs one mwg experiment body over every engine source: the graph in
+/// memory, the mapped file, and the block engine at a budget below one
+/// block and at one holding the whole adjacency. The mapped run must be
+/// byte-identical to the in-memory one, and the block engine's tables too.
+template <class Body>
+void expect_identical_on_every_source(const Graph& g, const std::string& name,
+                                      const Body& body) {
+  TempFile file(name);
+  write_mwg(file.path(), g, /*block_bits=*/3);
+  const MappedGraph mapped(file.path());
+  const BlockedGraph blocked(file.path());
+  ThreadPool pool(2);
+
+  const ExperimentResult in_core = body(InCore(CsrSubstrate(g)), pool);
+  EXPECT_EQ(cli::render_json(body(InCore(mapped.substrate()), pool)),
+            cli::render_json(in_core));
+  for (const std::uint64_t budget :
+       {std::uint64_t{64}, std::uint64_t{1} << 20}) {
+    SCOPED_TRACE(budget);
+    BlockWalkEngine engine(blocked, budget);
+    BlockedRunTotals totals;
+    const ExperimentResult out_of_core = body(OutOfCore{engine, &totals}, pool);
+    EXPECT_EQ(tables_json(out_of_core), tables_json(in_core));
+    EXPECT_GT(totals.trials, 0u);
+    const std::string json = cli::render_json(out_of_core);
+    EXPECT_NE(json.find("\"parallelism\": \"blocked\""), std::string::npos);
+    EXPECT_NE(json.find("\"mem_budget\": " + std::to_string(budget)),
+              std::string::npos);
+  }
+}
+
+TEST(MwgExperiments, SpeedupByteIdenticalOnEveryEngineSource) {
   cli::ExperimentParams params;
   params.seed = 51;
   params.trials = 10;
   params.kmax = 4;
-  ThreadPool pool(2);
-
-  const ExperimentResult from_file = cli::run_mwg_speedup_on_substrate(
-      mapped.substrate(), "graph", params, pool, CoverOptions{});
-  const ExperimentResult in_core = cli::run_mwg_speedup_on_substrate(
-      CsrSubstrate(g), "graph", params, pool, CoverOptions{});
-  EXPECT_EQ(cli::render_json(from_file), cli::render_json(in_core));
+  expect_identical_on_every_source(
+      make_margulis_expander(6), "exp.mwg",
+      [&](const auto& engines, ThreadPool& pool) {
+        return cli::run_mwg_speedup_on(engines, "graph", params, pool);
+      });
 }
 
-TEST(MwgExperiments, StartsByteIdenticalMappedVsInCore) {
-  const Graph g = make_grid_2d(6);
-  TempFile file("starts.mwg");
-  write_mwg(file.path(), g);
-  const MappedGraph mapped(file.path());
-
+TEST(MwgExperiments, StartsByteIdenticalOnEveryEngineSource) {
   cli::ExperimentParams params;
   params.seed = 52;
   params.trials = 10;
   params.k = 4;
-  ThreadPool pool(2);
-  const ExperimentResult from_file = cli::run_mwg_starts_on_substrate(
-      mapped.substrate(), "graph", params, pool, CoverOptions{});
-  const ExperimentResult in_core = cli::run_mwg_starts_on_substrate(
-      CsrSubstrate(g), "graph", params, pool, CoverOptions{});
-  EXPECT_EQ(cli::render_json(from_file), cli::render_json(in_core));
+  expect_identical_on_every_source(
+      make_grid_2d(6), "starts.mwg",
+      [&](const auto& engines, ThreadPool& pool) {
+        return cli::run_mwg_starts_on(engines, "graph", params, pool);
+      });
+}
+
+/// Writes 2^31 - 1 over every 97th target of the store at `path`.
+void corrupt_every_97th_target(const std::string& path) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  MwgHeader header{};
+  f.read(reinterpret_cast<char*>(&header), sizeof(header));
+  const Vertex bad = 0x7fffffffU;
+  for (std::uint64_t a = 0; a < header.num_arcs; a += 97) {
+    f.seekp(static_cast<std::streamoff>(
+        mwg_targets_begin(header.num_vertices) + a * sizeof(Vertex)));
+    f.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
+  }
+  ASSERT_TRUE(f.good());
+}
+
+TEST(MwgExperiments, CorruptTargetsFailCleanlyOnEveryWalkPath) {
+  // Structure validation never reads the targets, so every walk path must
+  // check them itself: an out-of-range target would index past the visit
+  // tracker. v1 and v2 stores, in-core and (v2) block-walked.
+  for (const std::uint32_t block_bits : {0U, 4U}) {
+    SCOPED_TRACE(block_bits);
+    TempFile file("corrupt.mwg");
+    write_mwg(file.path(), make_cycle(257), block_bits);
+    corrupt_every_97th_target(file.path());
+    EXPECT_NO_THROW(MappedGraph{file.path()});
+    EXPECT_THROW(MappedGraph(file.path(), MappedGraph::Validate::kTargets),
+                 std::invalid_argument);
+
+    ThreadPool pool(2);
+    for (const char* name : {"mwg-speedup", "mwg-starts"}) {
+      SCOPED_TRACE(name);
+      const cli::Experiment* experiment = cli::default_registry().find(name);
+      ASSERT_NE(experiment, nullptr);
+      cli::ExperimentParams params;
+      params.seed = experiment->info.default_seed;
+      params.trials = 4;
+      params.kmax = 4;
+      params.k = 2;
+      params.graph = file.path();
+      const auto fails_cleanly = [&] {
+        try {
+          experiment->run(params, pool);
+        } catch (const MwgIoError&) {
+          return true;
+        } catch (const std::invalid_argument&) {
+          return true;
+        }
+        return false;
+      };
+      EXPECT_TRUE(fails_cleanly());
+      if (block_bits > 0) {
+        params.block_walk = true;
+        params.mem_budget = "64K";
+        EXPECT_TRUE(fails_cleanly());
+      }
+    }
+    if (block_bits > 0) {
+      const BlockedGraph blocked(file.path());
+      ExtentCache cache(blocked, 1 << 20);
+      EXPECT_THROW(
+          cache.acquire(blocked.block_byte_begin(0), blocked.block_byte_end(0)),
+          std::invalid_argument);
+    }
+  }
 }
 
 TEST(MwgExperiments, RegisteredRunnersWorkEndToEnd) {

@@ -320,7 +320,7 @@ TEST(SubstrateEstimators, CensoredPartialCoverIsFlagged) {
   // exactly 1 even under censoring, so only the k > 1 ratios are flagged.
   const std::vector<unsigned> ks = {1, 2};
   const auto curve = estimate_speedup_curve_to_target(
-      substrate, 0, /*target=*/1024, ks, mc, cover);
+      InCore(substrate), 0, /*target=*/1024, ks, mc, cover);
   ASSERT_EQ(curve.size(), 2u);
   EXPECT_EQ(curve[0].censored, 0u);
   EXPECT_DOUBLE_EQ(curve[0].speedup, 1.0);
