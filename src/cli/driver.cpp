@@ -173,8 +173,8 @@ int run_experiment_main(std::string_view name, int argc, char** argv) {
   }
   if (has_extra(info, ExtraParam::kLaneShards)) {
     parser.add_option("lane-shards", &params.lane_shards,
-                      "cap on the workers sharing one cover trial's lanes "
-                      "(0 = thread-budget policy; any value yields "
+                      "shard each cover trial's lanes over up to this many "
+                      "workers (0 = trial-parallel; any value yields "
                       "identical results)");
   }
   if (has_extra(info, ExtraParam::kBlockWalk)) {

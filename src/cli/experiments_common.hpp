@@ -78,18 +78,15 @@ inline void push_param(ExperimentResult& result, std::string name,
 }
 
 /// Echoes the thread-budget decision for the experiment's headline
-/// (largest-k) estimate: the resolved "parallelism" mode ("trials" or
-/// "lanes") and the "lane_shards" cap the sharded engine uses there
-/// (0 = serial lane kernel, clamped to the lane count). Asks
-/// apply_thread_budget on copies of the options, so the echo is what the
-/// estimators actually do for that estimate.
+/// (largest-k) estimate: the resolved "parallelism" mode ("trials", or
+/// "lanes" when --lane-shards pinned a shard count) and the "lane_shards"
+/// cap the sharded engine uses there (0 = serial lane kernel, clamped to
+/// the lane count). Asks apply_thread_budget on copies of the options, so
+/// the echo is what the estimators actually do for that estimate.
 inline void push_parallelism_params(ExperimentResult& result,
-                                    CoverOptions cover,
-                                    std::uint64_t max_trials,
-                                    std::size_t lanes, ThreadPool& pool) {
+                                    CoverOptions cover, std::size_t lanes) {
   McOptions mc;
-  mc.max_trials = max_trials;
-  const McParallelism mode = apply_thread_budget(lanes, &pool, mc, cover);
+  const McParallelism mode = apply_thread_budget(lanes, nullptr, mc, cover);
   const std::size_t shards =
       std::min<std::size_t>(cover.lane_shards, std::max<std::size_t>(lanes, 1));
   push_param(result, "parallelism", std::string(parallelism_name(mode)));

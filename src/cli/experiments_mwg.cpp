@@ -148,9 +148,8 @@ std::span<const std::uint64_t> offsets_of(const OutOfCore& engines) {
 /// `lanes` is the headline estimate's k, as push_parallelism_params takes.
 void echo_source(ExperimentResult& result, const InCore<CsrSubstrate>& engines,
                  const std::string& source, const CoverOptions& cover,
-                 std::uint64_t max_trials, std::size_t lanes,
-                 ThreadPool& pool) {
-  push_parallelism_params(result, cover, max_trials, lanes, pool);
+                 std::size_t lanes) {
+  push_parallelism_params(result, cover, lanes);
   result.preamble.push_back(
       "stored graph " + source + ": n = " +
       format_count(engines.num_vertices()) + ", arcs = " +
@@ -161,7 +160,7 @@ void echo_source(ExperimentResult& result, const InCore<CsrSubstrate>& engines,
 }
 void echo_source(ExperimentResult& result, const OutOfCore& engines,
                  const std::string& source, const CoverOptions&,
-                 std::uint64_t, std::size_t, ThreadPool&) {
+                 std::size_t) {
   const BlockedGraph& graph = engines.engine.graph();
   const std::uint64_t budget = engines.engine.mem_budget();
   push_param(result, "parallelism", std::string("blocked"));
@@ -258,7 +257,7 @@ ExperimentResult run_mwg_speedup_on(const Engines& engines,
   push_param(result, "target", static_cast<std::uint64_t>(target));
   result.tables.push_back(speedup_table(source, start, target, n, curve));
   result.notes = speedup_notes();
-  echo_source(result, engines, source, cover, mc.max_trials, k_limit, pool);
+  echo_source(result, engines, source, cover, k_limit);
   return result;
 }
 
@@ -297,7 +296,7 @@ ExperimentResult run_mwg_starts_on(const Engines& engines,
   result.tables.push_back(
       starts_table(source, k, start, same, stationary, uniform));
   result.notes = starts_notes();
-  echo_source(result, engines, source, cover, mc.max_trials, k, pool);
+  echo_source(result, engines, source, cover, k);
   return result;
 }
 

@@ -34,10 +34,11 @@ struct ExperimentParams {
   /// invoking the runner (the one place "--threads 0 = hardware" is
   /// decided), so runners and sinks always see the real count.
   unsigned threads = 0;
-  /// Lane-shard cap per cover trial (determinism contract v3): 0 = let the
-  /// thread-budget planner decide, >= 1 pins CoverOptions::lane_shards,
-  /// which forces lanes mode and caps the worker team. Only experiments
-  /// declaring ExtraParam::kLaneShards expose the flag.
+  /// Lane-shard cap per cover trial (determinism contract v3): 0 = trials
+  /// fan out over the pool (the default), >= 1 pins
+  /// CoverOptions::lane_shards, which picks lanes mode and caps the worker
+  /// team. Only experiments declaring ExtraParam::kLaneShards expose the
+  /// flag.
   unsigned lane_shards = 0;
   // Extra knobs only some experiments declare (see ExperimentInfo::extras):
   std::uint64_t k = 0;    ///< number of walks (fig_start_placement)

@@ -20,33 +20,26 @@
 
 namespace manywalks {
 
-/// The thread-budget arbitration every in-core cover estimate runs under
-/// (InCore::plan), and the only place a lane-shard count is picked:
-/// decides once per estimate whether the pool fans out over trials
-/// (kTrials) or is handed down to the lane-sharded engine (kLanes), and
-/// writes the decision into the option COPIES the estimate will run with.
-/// An explicit CoverOptions::lane_shards pins lane mode and is kept as is;
-/// otherwise choose_parallelism decides from the trial budget, the lane
-/// count, and the pool width, and kLanes writes auto_lane_shards(lanes).
-/// kTrials leaves lane_shards 0. Either way shard_pool is overwritten (pool
-/// under kLanes, null under kTrials). A second call on the written options
-/// changes nothing. Returns the decision so call sites can report it;
-/// callers wanting manual control of the engine's pool should use the
-/// cover.hpp samplers directly.
-inline McParallelism apply_thread_budget(std::size_t lanes, ThreadPool* pool,
-                                         McOptions& mc, CoverOptions& cover) {
-  const unsigned pool_threads = pool != nullptr ? pool->size() : 0;
-  const McParallelism mode =
-      cover.lane_shards > 0
-          ? McParallelism::kLanes
-          : choose_parallelism(mc.max_trials, lanes, pool_threads);
-  const bool sharded = mode == McParallelism::kLanes;
-  mc.parallelism = mode;
-  if (sharded && cover.lane_shards == 0) {
-    cover.lane_shards = auto_lane_shards(lanes);
-  }
+/// The thread-budget plan every in-core cover estimate runs under
+/// (InCore::plan): decides once per estimate whether the pool fans out
+/// over trials (kTrials) or is handed down to the lane-sharded engine
+/// (kLanes), and writes the decision into the option COPIES the estimate
+/// will run with. Lanes mode is opt-in: kLanes exactly when the caller
+/// pinned CoverOptions::lane_shards > 0 (kept as is), kTrials otherwise —
+/// on few long k = 4096 trials, trial-parallel measured about 1.6x faster
+/// than the sharded driver at 3 executors (docs/ARCHITECTURE.md). Either
+/// way shard_pool is overwritten (pool under kLanes, null under kTrials),
+/// so a second call on the written options changes nothing. Returns the
+/// decision so call sites can report it. The lane count does not enter
+/// the rule; it stays a parameter for the library clients (perfbench)
+/// that call with it.
+inline McParallelism apply_thread_budget(std::size_t /*lanes*/,
+                                         ThreadPool* pool, McOptions& mc,
+                                         CoverOptions& cover) {
+  const bool sharded = cover.lane_shards > 0;
+  mc.parallelism = sharded ? McParallelism::kLanes : McParallelism::kTrials;
   cover.shard_pool = sharded ? pool : nullptr;
-  return mode;
+  return mc.parallelism;
 }
 
 // --- engine sources ----------------------------------------------------------

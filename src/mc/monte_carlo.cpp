@@ -11,23 +11,8 @@
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
-#include "walk/cover_types.hpp"
 
 namespace manywalks {
-
-McParallelism choose_parallelism(std::uint64_t max_trials, std::size_t lanes,
-                                 unsigned pool_threads) noexcept {
-  // A team of one worker plus the caller gains as much from trial
-  // parallelism as from sharding, without any barrier; below that there is
-  // no team at all.
-  if (pool_threads <= 1) return McParallelism::kTrials;
-  // Enough trials to keep every executor busy for 2+ batches: the
-  // embarrassing parallelism wins.
-  if (max_trials >= 2ULL * (pool_threads + 1)) return McParallelism::kTrials;
-  // Few long trials: shard lanes if k warrants a real team.
-  if (auto_lane_shards(lanes) >= 2) return McParallelism::kLanes;
-  return McParallelism::kTrials;
-}
 
 const char* parallelism_name(McParallelism parallelism) noexcept {
   return parallelism == McParallelism::kLanes ? "lanes" : "trials";

@@ -17,25 +17,17 @@ namespace manywalks {
 /// Where one estimate spends its thread budget. Neither choice changes any
 /// estimated number: trials always reduce in index order under per-trial
 /// streams, and lane sharding is result-invariant (determinism contract
-/// v3) — the policy is purely about where the parallel speed-up comes from.
+/// v3) — the mode only decides where the parallel speed-up comes from.
 enum class McParallelism : std::uint8_t {
-  /// Independent trials fan out across the pool (the classic mode); the
-  /// walk engine inside each trial stays serial.
+  /// Independent trials fan out across the pool (the default); the walk
+  /// engine inside each trial stays serial.
   kTrials,
   /// Trials run one at a time on the calling thread and the pool is handed
   /// DOWN to the sharded walk engine, which splits each trial's k lanes
-  /// across the team — the mode for few long trials (one giant cover run
-  /// saturates the machine instead of leaving it idle).
+  /// across the team. Picked only when the caller pins a shard count
+  /// (--lane-shards), e.g. to spread one or two giant cover runs.
   kLanes,
 };
-
-/// The thread-budget arbitration: many short trials keep trial-level
-/// parallelism (it already saturates the pool with zero synchronization);
-/// few long trials at large k hand the pool to the lane-sharded engine.
-/// Pure in its arguments. Its one caller is apply_thread_budget
-/// (mc/estimators.hpp), which also picks the shard count.
-McParallelism choose_parallelism(std::uint64_t max_trials, std::size_t lanes,
-                                 unsigned pool_threads) noexcept;
 
 /// "trials" / "lanes" — the sink-metadata spelling of the policy decision.
 const char* parallelism_name(McParallelism parallelism) noexcept;

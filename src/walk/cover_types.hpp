@@ -12,11 +12,12 @@ namespace manywalks {
 
 class ThreadPool;  // util/thread_pool.hpp
 
-/// The lane-shard count the thread-budget planner (apply_thread_budget in
-/// mc/estimators.hpp) writes for a k-lane trial it puts in lanes mode: one
-/// worker per 256 lanes, at most 32. The per-worker rounds stay long
-/// enough to amortize the round barrier, and 32 caps the merge width and
-/// the team·n/8-byte tracker scratch.
+/// A default lane-shard count for a k-lane trial: one worker per 256
+/// lanes, at most 32, so per-worker rounds stay long enough to amortize
+/// the round barrier and the team·n/8-byte tracker scratch stays bounded.
+/// The library never picks shards on its own (lanes mode is opt-in,
+/// see apply_thread_budget); only perfbench and pinned-shard tooling use
+/// this.
 constexpr unsigned auto_lane_shards(std::size_t lanes) noexcept {
   return std::clamp<unsigned>(static_cast<unsigned>(lanes / 256), 1u, 32u);
 }

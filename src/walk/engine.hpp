@@ -634,9 +634,12 @@ class WalkEngineT {
     return sample;
   }
 
+  // Flattened so the round kernel is inlined into the round loop in every
+  // instantiation: the explicit ones in engine.cpp otherwise call it once
+  // per round, which dominates small-k trials.
   template <bool kLazy>
-  CoverSample run_until_visited_lane(Vertex target,
-                                     const CoverOptions& options) {
+  [[gnu::flatten]] CoverSample run_until_visited_lane(
+      Vertex target, const CoverOptions& options) {
     const S substrate = substrate_;  // register-resident copy for the loop
     Vertex* const toks = tokens_.data();
     std::uint64_t* const words = tracker_.words();

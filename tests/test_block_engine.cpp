@@ -3,7 +3,7 @@
 // and — the heart of the contract — bit-identity of BlockWalkEngine
 // against the in-core lane engine at every budget, on cover runs,
 // fixed-round runs, chunked runs, lazy walks, and through the blocked
-// Monte-Carlo estimators.
+// Monte-Carlo estimators, which also meet the exact k-cover oracle.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +18,7 @@
 #include "storage/block_store.hpp"
 #include "storage/mapped_graph.hpp"
 #include "storage/mwg.hpp"
+#include "theory/exact.hpp"
 #include "walk/block_engine.hpp"
 #include "walk/engine.hpp"
 #include "walk/walker_buckets.hpp"
@@ -569,6 +570,40 @@ TEST(BlockedEstimators, DrawnStartsMatchInCore) {
             estimate_cover(out_of_core, 4, uniform_starts(n), n, mc).ci.mean);
   EXPECT_EQ(estimate_stationary_start_cover(graph, 4, mc).ci.mean,
             estimate_cover(out_of_core, 4, stationary, n, mc).ci.mean);
+}
+
+// --- the out-of-core source against the exact oracle ------------------------
+
+TEST(BlockedEstimators, MatchesExactKCoverOracleUnderEvictions) {
+  // The check tests/test_estimators.cpp makes for the in-core source:
+  // Monte Carlo within 4 half-widths of exact_k_cover_time. Two-vertex
+  // blocks and a budget below the graph's total extent bytes make the
+  // trials keep evicting. Each eviction is an unmap, so every budget is the
+  // largest that still forces evictions, to keep the test quick.
+  const auto check = [](const char* name, const Graph& graph,
+                        const std::vector<Vertex>& starts,
+                        std::uint64_t budget) {
+    SCOPED_TRACE(name);
+    TempFile file(std::string("oracle_") + name + ".mwg");
+    write_mwg(file.path(), graph, /*block_bits=*/1);
+    const BlockedGraph blocked(file.path());
+    BlockWalkEngine engine(blocked, budget);
+    BlockedRunTotals totals;
+    McOptions mc;
+    mc.min_trials = 2000;
+    mc.max_trials = 2000;
+    mc.seed = 11;
+    const McResult got =
+        estimate_cover(OutOfCore{engine, &totals}, starts.size(),
+                       fixed_starts(starts), graph.num_vertices(), mc);
+    const double exact = exact_k_cover_time(graph, starts);
+    EXPECT_NEAR(got.ci.mean, exact, 4.0 * got.ci.half_width + 1e-9);
+    EXPECT_EQ(got.censored, 0u);
+    EXPECT_GT(totals.cache_evictions, 0u);
+  };
+  check("cycle9_k2", make_cycle(9), {0, 0}, 64);
+  check("k4_k2", make_complete(4), {0, 0}, 32);
+  check("cycle5_starts_0_2", make_cycle(5), {0, 2}, 32);
 }
 
 }  // namespace

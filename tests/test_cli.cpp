@@ -504,7 +504,8 @@ DriverRun run_driver(const std::string& name, std::vector<std::string> args) {
 
 TEST(Driver, FewTrialsRunToValidJson) {
   // Under 8 trials the preset's min_trials floor used to exceed the
-  // budget and abort the run. A few long trials are the lanes-mode case.
+  // budget and abort the run. Pinned shards run the few trials in lanes
+  // mode.
   const DriverRun giant = run_driver(
       "giant-cycle-speedup", {"--trials", "2", "--lane-shards", "2",
                               "--threads", "3", "--target", "256", "--kmax",
@@ -527,6 +528,41 @@ TEST(Driver, FewTrialsRunToValidJson) {
   EXPECT_TRUE(JsonChecker(one.out).valid()) << one.out;
   EXPECT_NE(one.out.find("\"trials\": 1"), std::string::npos);
   EXPECT_NE(one.out.find("\"half_width\": null"), std::string::npos);
+}
+
+/// `json` without the lines that echo the schedule, not the results.
+std::string drop_schedule_echo(const std::string& json) {
+  std::istringstream in(json);
+  std::string kept;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"elapsed_seconds\"") != std::string::npos ||
+        line.find("\"parallelism\"") != std::string::npos ||
+        line.find("\"lane_shards\"") != std::string::npos) {
+      continue;
+    }
+    kept += line + '\n';
+  }
+  return kept;
+}
+
+TEST(Driver, LaneShardingIsOptInAndMovesNoNumber) {
+  // Few long wide trials stay trial-parallel unless --lane-shards pins a
+  // shard count; either schedule yields the same tables (contract v3).
+  const std::vector<std::string> args = {"--trials", "4",   "--threads",
+                                         "3",        "--kmax", "1024",
+                                         "--target", "256", "--format=json"};
+  const DriverRun trials = run_driver("giant-cycle-speedup", args);
+  std::vector<std::string> pinned_args = args;
+  pinned_args.insert(pinned_args.end(), {"--lane-shards", "3"});
+  const DriverRun lanes = run_driver("giant-cycle-speedup", pinned_args);
+  ASSERT_EQ(trials.exit_code, 0) << trials.err;
+  ASSERT_EQ(lanes.exit_code, 0) << lanes.err;
+  EXPECT_NE(trials.out.find("\"parallelism\": \"trials\""), std::string::npos);
+  EXPECT_NE(trials.out.find("\"lane_shards\": 0"), std::string::npos);
+  EXPECT_NE(lanes.out.find("\"parallelism\": \"lanes\""), std::string::npos);
+  EXPECT_NE(lanes.out.find("\"lane_shards\": 3"), std::string::npos);
+  EXPECT_NE(trials.out.find("\"tables\""), std::string::npos);
+  EXPECT_EQ(drop_schedule_echo(trials.out), drop_schedule_echo(lanes.out));
 }
 
 TEST(Driver, BlockWalkRejectsOptionsItCannotHonor) {

@@ -260,28 +260,25 @@ TEST(ThreadBudget, ChoosesTrialsWhenTheySaturate) {
   expect_trials_plan(plan(1000, 4096, nullptr));
   ThreadPool pool1(1);
   expect_trials_plan(plan(1000, 4096, &pool1));
-  // Plenty of trials per executor: trial-parallel wins regardless of k.
+  // Plenty of trials per executor: trial-parallel regardless of k.
   ThreadPool pool4(4);
   expect_trials_plan(plan(1000, 1u << 16, &pool4));
 }
 
-TEST(ThreadBudget, ChoosesLanesForFewLongWideTrials) {
+TEST(ThreadBudget, FewLongWideTrialsStayTrialParallel) {
   ThreadPool pool8(8);
-  // Few trials, wide k: shard the lanes inside each trial, one worker per
-  // 256 lanes.
-  const Plan lanes = plan(8, 4096, &pool8);
-  EXPECT_EQ(lanes.mode, McParallelism::kLanes);
-  EXPECT_EQ(lanes.mc.parallelism, McParallelism::kLanes);
-  EXPECT_EQ(lanes.cover.lane_shards, auto_lane_shards(4096));
-  EXPECT_EQ(lanes.cover.shard_pool, &pool8);
-  // Few trials but k too narrow to shard: stay trial-parallel.
+  // Lanes mode is opt-in: without a pinned shard count even a few wide
+  // trials fan out over the pool (trial-parallel measured faster than the
+  // sharded driver there).
+  expect_trials_plan(plan(8, 4096, &pool8));
+  expect_trials_plan(plan(2, 1u << 16, &pool8));
   expect_trials_plan(plan(8, 16, &pool8));
 }
 
 TEST(ThreadBudget, CallerPinSurvivesAndForcesLanes) {
   ThreadPool pool4(4);
-  // A pin forces lanes mode even where the policy would pick trials, and
-  // is kept as is (the engine caps the team by k itself).
+  // A pin forces lanes mode at any trial budget and k, and is kept as is
+  // (the engine caps the team by k itself).
   for (const unsigned pin : {1u, 3u, 64u}) {
     const Plan p = plan(1000, 16, &pool4, pin);
     EXPECT_EQ(p.mode, McParallelism::kLanes) << pin;
@@ -310,7 +307,8 @@ TEST(ThreadBudget, SecondCallLeavesThePlanUnchanged) {
     EXPECT_EQ(cover.lane_shards, first.cover.lane_shards);
     EXPECT_EQ(cover.shard_pool, first.cover.shard_pool);
   };
-  expect_idempotent(8, 4096, &pool4, 0);     // lanes, auto count written
+  expect_idempotent(8, 4096, &pool4, 0);     // trials, few wide trials
+  expect_idempotent(8, 4096, &pool4, 3);     // lanes, pinned
   expect_idempotent(1000, 4096, &pool4, 0);  // trials
   expect_idempotent(1000, 16, &pool4, 5);    // pinned
   expect_idempotent(8, 4096, nullptr, 0);    // no pool
