@@ -33,57 +33,44 @@
 #include <string>
 
 #include "graph/graph.hpp"
-#include "storage/mapped_graph.hpp"
 #include "storage/mwg.hpp"
 
 namespace manywalks {
 
-/// One read-only mapping of a file byte extent. Move-only RAII; `data()`
-/// points at `byte_begin` (the mapping itself is page-aligned
-/// internally). Produced by BlockedGraph::map_extent.
+/// One read-only mapping of a file byte extent; `data()` points at
+/// `byte_begin` (the mapping itself is page-aligned internally). Move-only
+/// through its MwgMapping. Produced by BlockedGraph::map_extent.
 class MappedExtent {
  public:
   MappedExtent() = default;
-  ~MappedExtent();
 
-  MappedExtent(MappedExtent&& other) noexcept;
-  MappedExtent& operator=(MappedExtent&& other) noexcept;
-  MappedExtent(const MappedExtent&) = delete;
-  MappedExtent& operator=(const MappedExtent&) = delete;
-
-  bool empty() const noexcept { return base_ == nullptr; }
+  bool empty() const noexcept { return mapping_.empty(); }
   /// First byte of the requested extent (file offset `byte_begin`).
   const std::byte* data() const noexcept {
-    return reinterpret_cast<const std::byte*>(
-               static_cast<const char*>(base_)) +
-           lead_;
+    return reinterpret_cast<const std::byte*>(mapping_.at(byte_begin_));
   }
   /// Bytes actually mapped (requested extent plus page-alignment lead).
-  std::uint64_t mapped_bytes() const noexcept { return mapped_bytes_; }
+  std::uint64_t mapped_bytes() const noexcept {
+    return mapping_.mapped_bytes();
+  }
 
  private:
   friend class BlockedGraph;
-  MappedExtent(int fd, std::uint64_t byte_begin, std::uint64_t byte_end,
-               const std::string& path);
+  MappedExtent(MwgMapping mapping, std::uint64_t byte_begin) noexcept
+      : mapping_(std::move(mapping)), byte_begin_(byte_begin) {}
 
-  void* base_ = nullptr;
-  std::uint64_t mapped_bytes_ = 0;
-  std::uint64_t lead_ = 0;  // byte_begin - page-aligned mapping start
+  MwgMapping mapping_;
+  std::uint64_t byte_begin_ = 0;
 };
 
 /// Metadata-resident handle on an mwg v2 file. Maps the header + offsets
 /// array and the block index; the adjacency region is NEVER mapped as a
-/// whole — callers pull it in through map_extent / ExtentCache. Rejects
-/// v1 files (no block index to schedule by) with an upgrade hint.
+/// whole — callers pull it in through map_extent / ExtentCache. Runs the
+/// shared mwg header check and structure scan; its one rule of its own
+/// rejects a v1 file (no block index to schedule by) with an upgrade hint.
 class BlockedGraph {
  public:
   explicit BlockedGraph(const std::string& path);
-  ~BlockedGraph();
-
-  BlockedGraph(BlockedGraph&& other) noexcept;
-  BlockedGraph& operator=(BlockedGraph&& other) noexcept;
-  BlockedGraph(const BlockedGraph&) = delete;
-  BlockedGraph& operator=(const BlockedGraph&) = delete;
 
   Vertex num_vertices() const noexcept {
     return static_cast<Vertex>(header_.num_vertices);
@@ -132,7 +119,7 @@ class BlockedGraph {
   std::uint64_t block_byte_end(std::uint64_t b) const noexcept {
     return arc_byte(block_arc_begin_[b + 1]);
   }
-  std::uint64_t file_bytes() const noexcept { return file_bytes_; }
+  std::uint64_t file_bytes() const noexcept { return file_.bytes; }
   const std::string& path() const noexcept { return path_; }
 
   /// Maps the file extent [byte_begin, byte_end) read-only and prefetches
@@ -143,18 +130,13 @@ class BlockedGraph {
                           std::uint64_t byte_end) const;
 
  private:
-  void close_all() noexcept;
-
   std::string path_;
-  int fd_ = -1;
-  std::uint64_t file_bytes_ = 0;
+  MwgFile file_;  // kept open: every extent maps from it
   MwgHeader header_{};
   std::uint32_t block_bits_ = 0;
   // Two metadata mappings: [0, targets_begin) and the tail block index.
-  void* meta_base_ = nullptr;
-  std::uint64_t meta_bytes_ = 0;
-  void* index_base_ = nullptr;
-  std::uint64_t index_bytes_ = 0;
+  MwgMapping meta_;
+  MwgMapping index_;
   const std::uint64_t* offsets_ = nullptr;
   const std::uint64_t* block_arc_begin_ = nullptr;
   const Vertex* block_max_degree_ = nullptr;

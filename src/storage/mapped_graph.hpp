@@ -6,20 +6,19 @@
 // 10^6-vertex file never faults the targets region at all.
 //
 // Lifetime/alignment rules (docs/ARCHITECTURE.md "Storage"):
-//   * the mapping lives exactly as long as the MappedGraph (move-only
-//     RAII); every span, pointer, and substrate() handed out dangles once
-//     it is destroyed — the same outlives-the-engine contract as a Graph
-//     behind CsrSubstrate;
+//   * the mapping lives exactly as long as the MappedGraph (move-only,
+//     owned by an MwgMapping); every span, pointer, and substrate()
+//     handed out dangles once it is destroyed — the same
+//     outlives-the-engine contract as a Graph behind CsrSubstrate;
 //   * the 64-byte header keeps the offsets array 8-byte aligned and the
 //     targets array 4-byte aligned in any mapping (mmap bases are
 //     page-aligned), so the spans are directly dereferenceable;
 //   * files are native-endian; a foreign-endian file is rejected at load
 //     via the header tag, never silently misread.
 //
-// Validation: loading always checks the header (magic, endianness tag,
-// version, exact file size) and scans the offsets array (monotone, starts
-// at 0, ends at num_arcs, degree extremes match the header) — O(n) over
-// pages the stats queries touch anyway. Validate::kTargets additionally
+// Validation: loading always runs the shared header check and structure
+// scan of storage/mwg.hpp (check_mwg_header, check_mwg_structure) — O(n)
+// over pages the stats queries touch anyway. Validate::kTargets also
 // checks every target is in range — one O(m) sequential pass, which a
 // walk needs before it indexes its visit tracker with the targets.
 // Validate::kDeep also checks that rows are sorted and the loop count,
@@ -36,18 +35,6 @@
 
 namespace manywalks {
 
-/// Page-cache advice for a byte extent of a mapping. All madvise-family
-/// calls in the tree live behind this (and the block store's extents) so
-/// one subsystem's advice never silently reshapes another's mapping —
-/// manywalks-lint bans direct mmap/madvise outside src/storage/.
-enum class ExtentAdvice {
-  kNormal,      ///< default kernel readahead
-  kRandom,      ///< no readahead (pointer-chasing access)
-  kSequential,  ///< aggressive readahead (one front-to-back scan)
-  kWillNeed,    ///< prefetch now
-  kDontNeed,    ///< drop cached pages
-};
-
 class MappedGraph {
  public:
   enum class Validate {
@@ -60,12 +47,6 @@ class MappedGraph {
   /// any open/map/format failure.
   explicit MappedGraph(const std::string& path,
                        Validate validate = Validate::kStructure);
-  ~MappedGraph();
-
-  MappedGraph(MappedGraph&& other) noexcept;
-  MappedGraph& operator=(MappedGraph&& other) noexcept;
-  MappedGraph(const MappedGraph&) = delete;
-  MappedGraph& operator=(const MappedGraph&) = delete;
 
   Vertex num_vertices() const noexcept {
     return static_cast<Vertex>(header_.num_vertices);
@@ -96,7 +77,7 @@ class MappedGraph {
 
   /// Binds the mapped arrays to the walk engine's CSR substrate — the
   /// exact type an in-core Graph binds through, so WalkEngineT runs
-  /// zero-copy off the file with bit-identical streams in both rng modes.
+  /// zero-copy off the file with bit-identical streams.
   /// Requires min_degree >= 1 (walkable), like every substrate.
   CsrSubstrate substrate() const {
     return CsrSubstrate(offsets_, targets_, num_vertices(), min_degree(),
@@ -104,7 +85,7 @@ class MappedGraph {
   }
 
   const std::string& path() const noexcept { return path_; }
-  std::uint64_t file_bytes() const noexcept { return mapped_bytes_; }
+  std::uint64_t file_bytes() const noexcept { return file_.mapped_bytes(); }
   std::uint32_t version() const noexcept { return header_.version; }
 
   // --- v2 block index (empty/0 on v1 files) ---------------------------
@@ -123,18 +104,9 @@ class MappedGraph {
     return {block_max_degree_, static_cast<std::size_t>(num_blocks())};
   }
 
-  /// Applies page-cache advice to the byte extent [byte_begin, byte_end)
-  /// of the mapping (file-relative offsets; page-aligned and clamped
-  /// internally; best-effort — advice failures are ignored).
-  void advise(std::uint64_t byte_begin, std::uint64_t byte_end,
-              ExtentAdvice advice) const noexcept;
-
  private:
-  void unmap() noexcept;
-
   std::string path_;
-  void* base_ = nullptr;
-  std::uint64_t mapped_bytes_ = 0;
+  MwgMapping file_;  // the whole file
   MwgHeader header_{};
   const std::uint64_t* offsets_ = nullptr;
   const Vertex* targets_ = nullptr;

@@ -41,15 +41,23 @@
 // larger than an in-core CSR would allow. The header is written last, by
 // finish(): a crashed or abandoned write leaves a zeroed header that every
 // loader rejects, never a plausible-looking truncated graph.
+//
+// The read side lives here too, once for both readers (MappedGraph and
+// BlockedGraph): open_mwg, one header check (check_mwg_header), one
+// structure scan over the offsets and the v2 block index
+// (check_mwg_structure), and MwgMapping, the RAII owner of every mmap in
+// src/storage/.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -138,6 +146,14 @@ constexpr std::uint64_t mwg_file_bytes_v2(std::uint64_t n,
          (blocks + 1) * sizeof(std::uint64_t) + blocks * sizeof(Vertex);
 }
 
+/// Block granularity of a checked header: reserved[0] on v2, 0 (no block
+/// index) on v1.
+constexpr std::uint32_t mwg_block_bits(const MwgHeader& header) noexcept {
+  return header.version == kMwgVersionBlockIndex
+             ? static_cast<std::uint32_t>(header.reserved[0])
+             : 0;
+}
+
 /// Default block granularity for an n-vertex graph: the smallest
 /// block_bits >= 12 (4096-vertex blocks) that keeps the index at or
 /// under 1024 blocks — small graphs get one block, huge graphs get
@@ -216,5 +232,102 @@ void write_mwg(const std::string& path, const S& substrate,
   }
   writer.finish();
 }
+
+// --- read side ---------------------------------------------------------
+
+/// Thread-safe strerror for MwgIoError messages (std::strerror's static
+/// buffer is flagged by concurrency-mt-unsafe, and readers can open
+/// graphs from worker threads).
+std::string errno_message(int err);
+
+/// A read-only file descriptor, closed on destruction. Move-only.
+class UniqueFd {
+ public:
+  explicit UniqueFd(int fd = -1) noexcept : fd_(fd) {}
+  UniqueFd(UniqueFd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  UniqueFd& operator=(UniqueFd other) noexcept {
+    std::swap(fd_, other.fd_);
+    return *this;
+  }
+  ~UniqueFd();
+
+  int get() const noexcept { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// One read-only mapping of the file byte range [byte_begin, byte_end),
+/// started at the page holding byte_begin. Move-only: the last owner
+/// unmaps it, exactly once. Every mmap/munmap in src/storage/ goes
+/// through this type.
+class MwgMapping {
+ public:
+  MwgMapping() = default;
+  /// Throws MwgIoError("mmap of <describe()> failed: ...") when the kernel
+  /// refuses (e.g. under an address-space limit); `describe` runs only
+  /// then, so a mapping on the extent path formats no message.
+  template <class Describe>
+  MwgMapping(int fd, std::uint64_t byte_begin, std::uint64_t byte_end,
+             Describe describe) {
+    if (const int err = map(fd, byte_begin, byte_end); err != 0) {
+      throw MwgIoError("mmap of " + describe() +
+                       " failed: " + errno_message(err));
+    }
+  }
+
+  bool empty() const noexcept { return base_ == nullptr; }
+  /// Bytes actually mapped (the range plus its page-alignment lead).
+  std::uint64_t mapped_bytes() const noexcept {
+    return base_.get_deleter().bytes;
+  }
+  /// Address of file byte `byte`, which must lie inside the mapped range.
+  const char* at(std::uint64_t byte) const noexcept {
+    return static_cast<const char*>(base_.get()) + (byte - file_begin_);
+  }
+  /// posix_madvise over the file bytes [byte_begin, byte_end), page-aligned
+  /// down and clamped to the mapping; best-effort (failures are ignored).
+  void advise(std::uint64_t byte_begin, std::uint64_t byte_end,
+              int posix_advice) const noexcept;
+
+ private:
+  /// The mmap itself; returns 0 or the errno of the failure.
+  int map(int fd, std::uint64_t byte_begin, std::uint64_t byte_end) noexcept;
+
+  struct Unmap {
+    std::uint64_t bytes;  // value-initialized (0) in an empty mapping
+    void operator()(void* base) const noexcept;
+  };
+  std::unique_ptr<void, Unmap> base_;
+  std::uint64_t file_begin_ = 0;  // file offset of the first mapped byte
+};
+
+/// An mwg file opened for reading: its descriptor and its size.
+struct MwgFile {
+  UniqueFd fd;
+  std::uint64_t bytes = 0;
+};
+
+/// Opens `path` read-only. Throws MwgIoError if it cannot be opened or
+/// stat'ed, std::invalid_argument if it is too small to hold a header.
+MwgFile open_mwg(const std::string& path);
+
+/// The header check every reader runs before touching anything the header
+/// points at: magic, byte order, version 1 or 2, the vertex limit, loops
+/// <= arcs, the v2 block_bits and reserved word, and the exact file size
+/// (derived from `file_bytes` so a hostile header cannot overflow it).
+/// Throws std::invalid_argument naming `path`.
+void check_mwg_header(const std::string& path, const MwgHeader& header,
+                      std::uint64_t file_bytes);
+
+/// The structure scan of a checked file, O(n) and never touching the
+/// targets: offsets monotone from 0 to num_arcs with the header's degree
+/// extremes and, on v2, every block-index entry and the index end agreeing
+/// with the offsets. The index pointers are ignored on v1. Throws
+/// std::invalid_argument naming `path`.
+void check_mwg_structure(const std::string& path, const MwgHeader& header,
+                         const std::uint64_t* offsets,
+                         const std::uint64_t* block_arc_begin,
+                         const Vertex* block_max_degree);
 
 }  // namespace manywalks

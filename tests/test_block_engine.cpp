@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,6 +107,38 @@ TEST(MwgV2, BlockedGraphRejectsV1WithUpgradeHint) {
     EXPECT_NE(std::string(error.what()).find("graph convert"),
               std::string::npos)
         << "rejection should tell the user how to upgrade: " << error.what();
+  }
+}
+
+TEST(MwgV2, UnknownVersionGetsNoUpgradeHint) {
+  TempFile file("v3_reject.mwg");
+  write_mwg(file.path(), make_cycle(4097), 8);
+  {
+    // The u32 version word sits at byte 12 of the header.
+    std::fstream f(file.path(),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(12);
+    const std::uint32_t v3 = 3;
+    f.write(reinterpret_cast<const char*>(&v3), sizeof(v3));
+  }
+  // `graph convert` cannot read a version-3 file either, so no reader may
+  // point there: both name the versions this build reads.
+  const auto expect_version_error = [](const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("reads versions 1 and 2"), std::string::npos) << what;
+    EXPECT_EQ(what.find("graph convert"), std::string::npos) << what;
+  };
+  try {
+    const BlockedGraph blocked(file.path());
+    FAIL() << "BlockedGraph accepted a version-3 file";
+  } catch (const std::invalid_argument& error) {
+    expect_version_error(error);
+  }
+  try {
+    const MappedGraph mapped(file.path());
+    FAIL() << "MappedGraph accepted a version-3 file";
+  } catch (const std::invalid_argument& error) {
+    expect_version_error(error);
   }
 }
 
@@ -257,6 +293,201 @@ TEST(ExtentCache, OversizedExtentStaysResident) {
   }
   EXPECT_EQ(cache.stats().loads, blocked.num_blocks());
   EXPECT_EQ(cache.stats().evictions, blocked.num_blocks() - 1);
+}
+
+// --- reader agreement --------------------------------------------------------
+//
+// MappedGraph and BlockedGraph share one header check and one structure
+// scan, so on any stored input they must agree: both accept, or both
+// throw std::invalid_argument with the same what() (MW_REQUIRE embeds the
+// checking file and line, so two copies of a rule cannot pass this).
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// what() of the std::invalid_argument `open` throws; "" if it accepts.
+template <class Open>
+std::string rejection(Open open) {
+  try {
+    open();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(MwgReaders, AgreeOnEveryMutant) {
+  // A 40-cycle with one self loop (odd arc count, so the index section
+  // starts after 4 bytes of padding) in 3 blocks of up to 16 vertices:
+  // degrees 3 and 2, block maxima 3, 2, 2.
+  GraphBuilder builder(40);
+  for (Vertex v = 0; v < 40; ++v) builder.add_edge(v, (v + 1) % 40);
+  builder.add_edge(0, 0);
+  GraphBuilder::BuildOptions options;
+  options.loops = GraphBuilder::LoopPolicy::kKeep;
+  const Graph g = builder.build(options);
+  constexpr std::uint32_t kBits = 4;
+  TempFile file("agree.mwg");
+  write_mwg(file.path(), g, kBits);
+  const std::string clean = read_file(file.path());
+
+  const std::uint64_t n = g.num_vertices();
+  const std::uint64_t arcs = g.num_arcs();
+  const std::uint64_t blocks = mwg_num_blocks(n, kBits);
+  ASSERT_GE(blocks, 3u);
+  const std::uint64_t targets_begin = mwg_targets_begin(n);
+  const std::uint64_t targets_end = mwg_file_bytes(n, arcs);
+  const std::uint64_t index_begin = mwg_block_index_begin(n, arcs);
+  ASSERT_LT(targets_end, index_begin);
+  const std::uint64_t max_degree_begin =
+      index_begin + (blocks + 1) * sizeof(std::uint64_t);
+  ASSERT_EQ(clean.size(), max_degree_begin + blocks * sizeof(Vertex));
+
+  struct Mutant {
+    std::string name;
+    std::function<void(std::string&)> apply;
+  };
+  const auto put = [](std::uint64_t at, auto value) {
+    return [at, value](std::string& bytes) {
+      std::memcpy(bytes.data() + at, &value, sizeof(value));
+    };
+  };
+  const auto offset_word = [&](std::uint64_t v) {
+    return mwg_offsets_begin() + v * sizeof(std::uint64_t);
+  };
+  std::vector<Mutant> mutants = {
+      {"magic", put(0, 'X')},
+      {"endian byte-swapped", put(8, std::uint32_t{0x04030201u})},
+      {"endian garbage", put(8, std::uint32_t{0xdeadbeefu})},
+      {"version 1", put(12, std::uint32_t{1})},
+      {"version 3", put(12, std::uint32_t{3})},
+      {"n + 1", put(16, std::uint64_t{n + 1})},
+      {"n = 2^32", put(16, std::uint64_t{1} << 32)},
+      {"num_arcs + 1", put(24, std::uint64_t{arcs + 1})},
+      {"num_loops > num_arcs", put(32, std::uint64_t{arcs + 1})},
+      {"min_degree", put(40, std::uint32_t{1})},
+      {"max_degree", put(44, std::uint32_t{4})},
+      {"block_bits 0", put(48, std::uint64_t{0})},
+      {"block_bits 40", put(48, std::uint64_t{40})},
+      {"reserved[1]", put(56, std::uint64_t{1})},
+      {"first offset", put(offset_word(0), std::uint64_t{1})},
+      {"middle offset", put(offset_word(n / 2), ~std::uint64_t{0})},
+      {"last offset", put(offset_word(n), std::uint64_t{arcs - 1})},
+      {"block_arc_begin[1]",
+       put(index_begin + sizeof(std::uint64_t), std::uint64_t{7})},
+      {"block_max_degree[1]", put(max_degree_begin + sizeof(Vertex),
+                                  Vertex{3})},
+      {"index end", put(index_begin + blocks * sizeof(std::uint64_t),
+                        std::uint64_t{arcs + 1})},
+      {"truncated inside offsets",
+       [&](std::string& bytes) { bytes.resize(offset_word(n / 2) + 4); }},
+  };
+  const std::uint64_t boundaries[] = {
+      0,           kMwgHeaderBytes,  targets_begin,    targets_end,
+      index_begin, max_degree_begin, clean.size()};
+  for (const std::uint64_t at : boundaries) {
+    if (at < clean.size()) {
+      mutants.push_back({"truncated at " + std::to_string(at),
+                         [at](std::string& bytes) { bytes.resize(at); }});
+    }
+    mutants.push_back(
+        {"padded at " + std::to_string(at),
+         [at](std::string& bytes) { bytes.insert(at, 1, '\0'); }});
+  }
+
+  const auto open_mapped = [&] { const MappedGraph g2(file.path()); };
+  const auto open_blocked = [&] { const BlockedGraph g2(file.path()); };
+  EXPECT_EQ(rejection(open_mapped), "");
+  EXPECT_EQ(rejection(open_blocked), "");
+  for (const Mutant& mutant : mutants) {
+    SCOPED_TRACE(mutant.name);
+    std::string bytes = clean;
+    mutant.apply(bytes);
+    ASSERT_NE(bytes, clean);
+    write_file(file.path(), bytes);
+    const std::string mapped = rejection(open_mapped);
+    EXPECT_NE(mapped, "") << "MappedGraph accepted the mutant";
+    EXPECT_EQ(rejection(open_blocked), mapped);
+  }
+
+  // A plausible lie about the loop count needs the targets to catch, so
+  // only the deep load (which reads them) rejects it.
+  std::string lying_loops = clean;
+  put(32, std::uint64_t{0})(lying_loops);
+  write_file(file.path(), lying_loops);
+  EXPECT_EQ(rejection(open_mapped), "");
+  EXPECT_EQ(rejection(open_blocked), "");
+  EXPECT_NE(rejection([&] {
+              const MappedGraph g2(file.path(), MappedGraph::Validate::kDeep);
+            }),
+            "");
+}
+
+/// Lines of /proc/self/maps backed by `path`: the kernel's count of this
+/// process's live mappings of the file.
+std::size_t live_mappings(const std::string& path) {
+  const std::string canonical = std::filesystem::canonical(path).string();
+  std::ifstream maps("/proc/self/maps");
+  std::size_t count = 0;
+  for (std::string line; std::getline(maps, line);) {
+    if (line.ends_with(" " + canonical)) ++count;
+  }
+  return count;
+}
+
+TEST(MwgReaders, MovedFromReadersUnmapEachMappingOnce) {
+  TempFile file("moves.mwg");
+  const Graph g = make_margulis_expander(16);  // n = 256, 4 blocks
+  write_mwg(file.path(), g, 6);
+  ASSERT_EQ(live_mappings(file.path()), 0u);
+
+  {
+    std::optional<MappedGraph> source(std::in_place, file.path());
+    const std::size_t mapped = live_mappings(file.path());
+    ASSERT_GT(mapped, 0u);
+    const MappedGraph moved(std::move(*source));
+    source.reset();  // a moved-from reader must not unmap
+    EXPECT_EQ(live_mappings(file.path()), mapped);
+    for (std::uint64_t a = 0; a < g.num_arcs(); ++a) {
+      ASSERT_EQ(moved.targets()[a], g.targets()[a]);
+    }
+  }
+  EXPECT_EQ(live_mappings(file.path()), 0u);
+
+  {
+    std::optional<BlockedGraph> source(std::in_place, file.path());
+    const std::size_t mapped = live_mappings(file.path());
+    ASSERT_GT(mapped, 0u);
+    BlockedGraph moved(std::move(*source));
+    source.reset();  // ...nor close the descriptor extents map from
+    EXPECT_EQ(live_mappings(file.path()), mapped);
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(moved.degree(v), g.degree(v));
+    }
+
+    {
+      std::optional<MappedExtent> first(moved.map_extent(
+          moved.block_byte_begin(0), moved.block_byte_end(0)));
+      MappedExtent second =
+          moved.map_extent(moved.block_byte_begin(1), moved.block_byte_end(1));
+      second = std::move(*first);  // unmaps block 1, takes over block 0
+      first.reset();
+      const auto* arcs = reinterpret_cast<const Vertex*>(second.data());
+      for (std::uint64_t a = 0; a < moved.block_arc_begin(1); ++a) {
+        ASSERT_EQ(arcs[a], g.targets()[a]);
+      }
+    }
+    // Both extents are gone; the reader's own mappings are untouched.
+    EXPECT_EQ(live_mappings(file.path()), mapped);
+  }
+  EXPECT_EQ(live_mappings(file.path()), 0u);
 }
 
 TEST(WalkerBuckets, StableAscendingOrder) {
