@@ -7,8 +7,8 @@
 //
 // The binary has its own main (like bench_engine): before the
 // google-benchmark suite it runs the BENCH_ooc comparison — the
-// block-scheduled out-of-core engine vs a naive walker that pulls one
-// 4 KB extent per step, both on an mwg v2 CSR 4x larger than the extent
+// block-scheduled out-of-core engine vs a naive walker that reads one
+// 4 KiB page per step, both on an mwg v2 CSR 4x larger than the extent
 // budget, both walking bit-identical lane trajectories. It writes the
 // machine-readable BENCH_ooc.json artifact (--ooc_out=PATH, schema
 // "manywalks-ooc-v1"); with --ooc_guard it exits nonzero unless the
@@ -158,12 +158,12 @@ BENCHMARK(BM_LoadAndWalkMwg);
 // neither side can keep the adjacency resident. Both sides advance the
 // SAME k lane trajectories for the same rounds:
 //   * block: BlockWalkEngine (bucket walkers by vertex block, one
-//     sequential 128 KiB extent load per block activation);
+//     sequential 128 KiB extent read per block miss);
 //   * naive: the in-core lane loop shape — every token steps every round
-//     in token order — but each neighbor fetch pulls its 4 KB page
-//     through a same-budget ExtentCache, which is exactly the access
-//     pattern mmap-and-fault degenerates to once the file outgrows RAM
-//     (emulated through the cache so the page cache can't hide it).
+//     in token order — but each neighbor fetch reads its 4 KiB page
+//     through a same-budget ExtentCache (one pread per page miss), the
+//     access pattern mmap-and-fault degenerates to once the file outgrows
+//     RAM (emulated through the cache so the page cache can't hide it).
 // End states must match bit for bit (contract v4); the guard gates
 // block/naive >= 5x.
 // ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ struct OocReport {
 
 /// One naive rep: same reset/reseed protocol as BlockWalkEngine
 /// (lanes reseeded from rng.next()), same per-step draws, but every
-/// neighbor fetch goes through a per-step 4 KB page extent. Returns the
+/// neighbor fetch goes through a per-step 4 KiB page extent. Returns the
 /// end state for the bit-identity cross-check.
 OocSideResult naive_rep(const BlockedGraph& g, ExtentCache& cache,
                         std::span<const Vertex> starts, std::uint64_t rounds,

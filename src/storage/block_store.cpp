@@ -1,11 +1,12 @@
 #include "storage/block_store.hpp"
 
-#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <string>
 #include <utility>
 
@@ -38,14 +39,14 @@ BlockedGraph::BlockedGraph(const std::string& path)
 
   // Metadata mapping 1: header + offsets (never the targets).
   meta_ = MwgMapping(file_.fd.get(), 0, mwg_targets_begin(n),
-                     [&] { return "the metadata of '" + path + "'"; });
+                     "the metadata of '" + path + "'");
   offsets_ =
       reinterpret_cast<const std::uint64_t*>(meta_.at(mwg_offsets_begin()));
 
   // Metadata mapping 2: the tail block index (page-aligned down).
   const std::uint64_t index_begin = mwg_block_index_begin(n, header_.num_arcs);
   index_ = MwgMapping(file_.fd.get(), index_begin, file_.bytes,
-                      [&] { return "the block index of '" + path + "'"; });
+                      "the block index of '" + path + "'");
   block_arc_begin_ =
       reinterpret_cast<const std::uint64_t*>(index_.at(index_begin));
   block_max_degree_ = reinterpret_cast<const Vertex*>(
@@ -57,22 +58,33 @@ BlockedGraph::BlockedGraph(const std::string& path)
                       block_max_degree_);
 }
 
-MappedExtent BlockedGraph::map_extent(std::uint64_t byte_begin,
-                                      std::uint64_t byte_end) const {
+void BlockedGraph::read_extent(std::uint64_t byte_begin,
+                               std::uint64_t byte_end, std::byte* out) const {
   MW_REQUIRE(byte_end <= file_.bytes,
              "extent [" << byte_begin << "," << byte_end
                         << ") past the end of '" << path_ << "' ("
                         << file_.bytes << " bytes)");
   MW_REQUIRE(byte_begin < byte_end, "empty extent [" << byte_begin << ","
                                                      << byte_end << ")");
-  MwgMapping mapping(file_.fd.get(), byte_begin, byte_end, [&] {
-    return "extent [" + std::to_string(byte_begin) + "," +
-           std::to_string(byte_end) + ") of '" + path_ + "'";
-  });
-  // One extent = one sequential read: prefetch the whole range now so the
-  // block's walkers hit warm pages instead of faulting one by one.
-  mapping.advise(byte_begin, byte_end, POSIX_MADV_WILLNEED);
-  return MappedExtent(std::move(mapping), byte_begin);
+  std::uint64_t at = byte_begin;
+  while (at < byte_end) {
+    const ssize_t got = ::pread(file_.fd.get(), out + (at - byte_begin),
+                                byte_end - at, static_cast<off_t>(at));
+    if (got > 0) {
+      at += static_cast<std::uint64_t>(got);
+      continue;
+    }
+    const int err = got < 0 ? errno : 0;
+    if (err == EINTR) continue;
+    const std::string extent = "extent [" + std::to_string(byte_begin) + "," +
+                               std::to_string(byte_end) + ") of '" + path_ +
+                               "'";
+    if (err != 0) {
+      throw MwgIoError("read of " + extent + " failed: " + errno_message(err));
+    }
+    throw MwgIoError(extent + " ends at byte " + std::to_string(at) +
+                     ": the file shrank after it was opened");
+  }
 }
 
 // --- ExtentCache ------------------------------------------------------
@@ -95,34 +107,36 @@ const std::byte* ExtentCache::acquire(std::uint64_t byte_begin,
         o != nullptr && o->metrics != nullptr) {
       obs::thread_counters().add(obs::Metric::kCacheHits, 1);
     }
-    return lru_.front().extent.data();
+    return lru_.front().data.get();
   }
-  MappedExtent extent = graph_->map_extent(byte_begin, byte_end);
+  const std::uint64_t bytes = byte_end - byte_begin;
+  const std::uint64_t evictions_before = stats_.evictions;
+  std::unique_ptr<std::byte[]> data = evict_for(bytes);
+  if (data == nullptr) {
+    try {
+      data = std::make_unique_for_overwrite<std::byte[]>(bytes);
+    } catch (const std::bad_alloc&) {
+      throw MwgIoError("cannot allocate " + std::to_string(bytes) +
+                       " bytes for extent [" + std::to_string(byte_begin) +
+                       "," + std::to_string(byte_end) + ") of '" +
+                       graph_->path() + "'");
+    }
+  }
+  graph_->read_extent(byte_begin, byte_end, data.get());
   if (!checked_.contains(byte_begin)) {
-    check_targets(byte_begin, byte_end, extent.data());
+    check_targets(byte_begin, byte_end, data.get());
     checked_.insert(byte_begin);
   }
-  lru_.push_front(Entry{byte_begin, byte_end, std::move(extent)});
+  lru_.push_front(Entry{byte_begin, byte_end, std::move(data)});
   by_begin_.emplace(byte_begin, lru_.begin());
-  const std::uint64_t bytes = byte_end - byte_begin;
   ++stats_.loads;
   stats_.bytes_loaded += bytes;
   stats_.resident_bytes += bytes;
-  // Evict LRU extents past the budget, but never the one just acquired:
-  // a single over-budget extent still loads (and pins the cache floor).
-  std::uint64_t evicted = 0;
-  while (stats_.resident_bytes > budget_ && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
-    stats_.resident_bytes -= victim.end - victim.begin;
-    ++stats_.evictions;
-    ++evicted;
-    by_begin_.erase(victim.begin);
-    lru_.pop_back();
-  }
+  const std::uint64_t evicted = stats_.evictions - evictions_before;
   stats_.peak_resident_bytes =
       std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
   // Observability: misses and evictions are cache-churn events (coarse by
-  // construction — one per extent mapped, never per walk step). Counters
+  // construction — one per extent read, never per walk step). Counters
   // go to the calling thread's scratch; trace events go straight to the
   // (mutex-protected) writer.
   if (obs::RunObserver* const o = obs::observer(); o != nullptr) {
@@ -139,7 +153,24 @@ const std::byte* ExtentCache::acquire(std::uint64_t byte_begin,
       o->trace->instant("extent-load", "cache", 0, std::move(args));
     }
   }
-  return lru_.front().extent.data();
+  return lru_.front().data.get();
+}
+
+std::unique_ptr<std::byte[]> ExtentCache::evict_for(std::uint64_t bytes) {
+  // Evict before loading, so the cache never holds more than
+  // max(budget, one extent); the extent about to load is not resident
+  // yet, so it cannot evict itself.
+  std::unique_ptr<std::byte[]> reuse;
+  while (!lru_.empty() && stats_.resident_bytes + bytes > budget_) {
+    Entry& victim = lru_.back();
+    const std::uint64_t victim_bytes = victim.end - victim.begin;
+    if (victim_bytes == bytes) reuse = std::move(victim.data);
+    stats_.resident_bytes -= victim_bytes;
+    ++stats_.evictions;
+    by_begin_.erase(victim.begin);
+    lru_.pop_back();
+  }
+  return reuse;
 }
 
 void ExtentCache::check_targets(std::uint64_t byte_begin,

@@ -1,6 +1,5 @@
-// Out-of-core access to mwg v2 files: metadata-resident graph handle,
-// RAII file extents, and an LRU extent cache with an explicit byte
-// budget.
+// Out-of-core access to mwg v2 files: a metadata-resident graph handle
+// and an LRU extent cache with an explicit byte budget.
 //
 // MappedGraph (mapped_graph.hpp) maps the WHOLE file and trusts the page
 // cache; once the CSR outgrows memory the walk hot path degenerates to
@@ -8,12 +7,13 @@
 // header + offsets array up front and the v2 block index at the tail —
 // and hands out adjacency as explicit extents:
 //
-//   * `map_extent(byte_begin, byte_end)` maps one file extent (RAII,
-//     page-aligned internally) and prefetches it as a sequential read;
-//   * `ExtentCache` keeps an LRU of mapped extents bounded by an
-//     explicit byte budget (`--mem-budget`), so the resident set is a
-//     scheduling decision, not a page-cache accident. At least one
-//     extent stays resident even when it alone exceeds the budget.
+//   * `read_extent(byte_begin, byte_end, out)` reads one file extent
+//     into a caller buffer with one pread loop (a sequential read);
+//   * `ExtentCache` keeps an LRU of extents it has read into heap
+//     buffers it owns, bounded by an explicit byte budget
+//     (`--mem-budget`), so the resident set is a scheduling decision and
+//     counts real bytes, not a page-cache accident. At least one extent
+//     stays resident even when it alone exceeds the budget.
 //
 // The budget shapes ONLY eviction — never which extents are requested in
 // what order — which is what keeps the block engine's schedule (and so
@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -37,35 +38,9 @@
 
 namespace manywalks {
 
-/// One read-only mapping of a file byte extent; `data()` points at
-/// `byte_begin` (the mapping itself is page-aligned internally). Move-only
-/// through its MwgMapping. Produced by BlockedGraph::map_extent.
-class MappedExtent {
- public:
-  MappedExtent() = default;
-
-  bool empty() const noexcept { return mapping_.empty(); }
-  /// First byte of the requested extent (file offset `byte_begin`).
-  const std::byte* data() const noexcept {
-    return reinterpret_cast<const std::byte*>(mapping_.at(byte_begin_));
-  }
-  /// Bytes actually mapped (requested extent plus page-alignment lead).
-  std::uint64_t mapped_bytes() const noexcept {
-    return mapping_.mapped_bytes();
-  }
-
- private:
-  friend class BlockedGraph;
-  MappedExtent(MwgMapping mapping, std::uint64_t byte_begin) noexcept
-      : mapping_(std::move(mapping)), byte_begin_(byte_begin) {}
-
-  MwgMapping mapping_;
-  std::uint64_t byte_begin_ = 0;
-};
-
 /// Metadata-resident handle on an mwg v2 file. Maps the header + offsets
-/// array and the block index; the adjacency region is NEVER mapped as a
-/// whole — callers pull it in through map_extent / ExtentCache. Runs the
+/// array and the block index; the adjacency region is NEVER mapped —
+/// callers read it through read_extent / ExtentCache. Runs the
 /// shared mwg header check and structure scan; its one rule of its own
 /// rejects a v1 file (no block index to schedule by) with an upgrade hint.
 class BlockedGraph {
@@ -122,16 +97,15 @@ class BlockedGraph {
   std::uint64_t file_bytes() const noexcept { return file_.bytes; }
   const std::string& path() const noexcept { return path_; }
 
-  /// Maps the file extent [byte_begin, byte_end) read-only and prefetches
-  /// it as one sequential read. Throws MwgIoError on mmap failure (e.g.
-  /// an address-space limit) — the caller-visible symptom of a budget the
-  /// machine cannot honor.
-  MappedExtent map_extent(std::uint64_t byte_begin,
-                          std::uint64_t byte_end) const;
+  /// Reads the file extent [byte_begin, byte_end) into `out` (at least
+  /// byte_end - byte_begin bytes). Throws MwgIoError if the read fails or
+  /// comes up short — the file shrank since it was opened.
+  void read_extent(std::uint64_t byte_begin, std::uint64_t byte_end,
+                   std::byte* out) const;
 
  private:
   std::string path_;
-  MwgFile file_;  // kept open: every extent maps from it
+  MwgFile file_;  // kept open: every extent is read from it
   MwgHeader header_{};
   std::uint32_t block_bits_ = 0;
   // Two metadata mappings: [0, targets_begin) and the tail block index.
@@ -142,11 +116,14 @@ class BlockedGraph {
   const Vertex* block_max_degree_ = nullptr;
 };
 
-/// LRU cache of mapped extents bounded by an explicit byte budget. The
-/// budget counts requested extent bytes; eviction drops the
-/// least-recently-acquired extent until the cache fits, always keeping
-/// the most recent one resident (a single extent larger than the budget
-/// still loads — it just evicts everything else).
+/// LRU cache of file extents bounded by an explicit byte budget. Each
+/// resident extent is a heap buffer the cache owns, so the budget counts
+/// real resident bytes. A miss first evicts least-recently-acquired
+/// extents until the new one fits, then reads it into the buffer of an
+/// evicted extent of the same size (or a fresh one): the steady state
+/// allocates nothing and never holds more than max(budget, one extent).
+/// A single extent larger than the budget still loads — it just evicts
+/// everything else.
 ///
 /// Pointers returned by acquire() are valid until a LATER acquire()
 /// evicts that extent; the block engine's contract is to finish with a
@@ -155,11 +132,13 @@ class BlockedGraph {
 /// The first load of an extent in a cache's lifetime range-checks the
 /// target words it holds (< n), so a corrupt store fails with
 /// std::invalid_argument instead of sending a walker off the tracker. The
-/// check is one sequential pass over bytes the load just read.
+/// check is one sequential pass over bytes the load just read. A store
+/// that shrank under the walk, or a buffer the machine cannot allocate,
+/// fails with MwgIoError.
 class ExtentCache {
  public:
   struct Stats {
-    std::uint64_t loads = 0;       ///< extents mapped (cache misses)
+    std::uint64_t loads = 0;       ///< extents read (cache misses)
     std::uint64_t hits = 0;        ///< acquires served resident
     std::uint64_t evictions = 0;   ///< extents dropped for budget
     std::uint64_t bytes_loaded = 0;
@@ -169,8 +148,8 @@ class ExtentCache {
 
   ExtentCache(const BlockedGraph& graph, std::uint64_t budget_bytes);
 
-  /// The extent's first byte, mapping it on miss (and evicting LRU
-  /// extents past the budget). A given byte_begin must always be paired
+  /// The extent's first byte, reading it on miss after evicting LRU
+  /// extents past the budget. A given byte_begin must always be paired
   /// with the same byte_end.
   const std::byte* acquire(std::uint64_t byte_begin, std::uint64_t byte_end);
 
@@ -192,9 +171,13 @@ class ExtentCache {
   struct Entry {
     std::uint64_t begin;
     std::uint64_t end;
-    MappedExtent extent;
+    std::unique_ptr<std::byte[]> data;  // end - begin bytes
   };
 
+  /// Evicts LRU extents until `bytes` more fit the budget (or the cache
+  /// is empty); returns the buffer of the last evicted extent of exactly
+  /// `bytes` bytes, if any, for the load to reuse.
+  std::unique_ptr<std::byte[]> evict_for(std::uint64_t bytes);
   void check_targets(std::uint64_t byte_begin, std::uint64_t byte_end,
                      const std::byte* data) const;
 

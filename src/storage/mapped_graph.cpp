@@ -12,8 +12,7 @@ MappedGraph::MappedGraph(const std::string& path, Validate validate)
     : path_(path) {
   {
     const MwgFile file = open_mwg(path);
-    file_ = MwgMapping(file.fd.get(), 0, file.bytes,
-                       [&] { return "'" + path + "'"; });
+    file_ = MwgMapping(file.fd.get(), 0, file.bytes, "'" + path + "'");
   }  // the mapping keeps its own reference to the file
   std::memcpy(&header_, file_.at(0), sizeof(MwgHeader));
   // Validate before touching anything the header points at; on a throw

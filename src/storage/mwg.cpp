@@ -142,16 +142,18 @@ UniqueFd::~UniqueFd() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-int MwgMapping::map(int fd, std::uint64_t byte_begin,
-                    std::uint64_t byte_end) noexcept {
+MwgMapping::MwgMapping(int fd, std::uint64_t byte_begin,
+                       std::uint64_t byte_end, const std::string& what) {
   const std::uint64_t page = page_size();
   file_begin_ = (byte_begin / page) * page;
   const std::uint64_t bytes = byte_end - file_begin_;
   void* base = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd,
                       static_cast<off_t>(file_begin_));
-  if (base == MAP_FAILED) return errno;
+  if (base == MAP_FAILED) {
+    const int err = errno;
+    throw MwgIoError("mmap of " + what + " failed: " + errno_message(err));
+  }
   base_ = std::unique_ptr<void, Unmap>(base, Unmap{bytes});
-  return 0;
 }
 
 void MwgMapping::Unmap::operator()(void* base) const noexcept {

@@ -264,17 +264,10 @@ class UniqueFd {
 class MwgMapping {
  public:
   MwgMapping() = default;
-  /// Throws MwgIoError("mmap of <describe()> failed: ...") when the kernel
-  /// refuses (e.g. under an address-space limit); `describe` runs only
-  /// then, so a mapping on the extent path formats no message.
-  template <class Describe>
+  /// Throws MwgIoError("mmap of <what> failed: ...") when the kernel
+  /// refuses (e.g. under an address-space limit).
   MwgMapping(int fd, std::uint64_t byte_begin, std::uint64_t byte_end,
-             Describe describe) {
-    if (const int err = map(fd, byte_begin, byte_end); err != 0) {
-      throw MwgIoError("mmap of " + describe() +
-                       " failed: " + errno_message(err));
-    }
-  }
+             const std::string& what);
 
   bool empty() const noexcept { return base_ == nullptr; }
   /// Bytes actually mapped (the range plus its page-alignment lead).
@@ -291,9 +284,6 @@ class MwgMapping {
               int posix_advice) const noexcept;
 
  private:
-  /// The mmap itself; returns 0 or the errno of the failure.
-  int map(int fd, std::uint64_t byte_begin, std::uint64_t byte_end) noexcept;
-
   struct Unmap {
     std::uint64_t bytes;  // value-initialized (0) in an empty mapping
     void operator()(void* base) const noexcept;

@@ -30,6 +30,7 @@ void BlockWalkEngine::reset(std::span<const Vertex> starts) {
     tracker_.visit(s);
   }
   lanes_seeded_ = false;
+  descending_ = false;
 }
 
 void BlockWalkEngine::ensure_lanes(Rng& rng) {
@@ -138,9 +139,18 @@ void BlockWalkEngine::run_rounds_bucketed(std::uint32_t rounds_each,
     const auto touched = buckets_.touched_blocks();
     if (touched.empty()) break;
     ++stats_.bucket_passes;
-    for (const std::uint32_t b : touched) {
-      process_block(b, laziness);
+    // Alternate the sweep direction, so each pass starts on the blocks the
+    // previous pass left resident (an ascending-only sweep is the cyclic
+    // pattern on which LRU never hits). The lanes of one pass are
+    // independent and visits commute, so the order moves no result.
+    if (descending_) {
+      for (auto b = touched.rbegin(); b != touched.rend(); ++b) {
+        process_block(*b, laziness);
+      }
+    } else {
+      for (const std::uint32_t b : touched) process_block(b, laziness);
     }
+    descending_ = !descending_;
   }
 }
 
@@ -155,7 +165,7 @@ void BlockWalkEngine::process_block(std::uint32_t block, double laziness) {
   }
   const std::byte* raw = cache_.acquire(graph_->block_byte_begin(block),
                                         graph_->block_byte_end(block));
-  // block_byte_begin is 4-aligned (targets_begin + 4*arc) by format.
+  // The cache's buffers come from operator new, aligned for any Vertex.
   const auto* block_targets = reinterpret_cast<const Vertex*>(raw);
   const std::uint64_t arc0 = graph_->block_arc_begin(block);
   const std::uint64_t* const offsets = graph_->offsets().data();

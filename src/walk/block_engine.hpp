@@ -3,16 +3,19 @@
 // BlockWalkEngine drives the same per-lane walks as WalkEngineT's lane
 // path (engine.hpp), but against a BlockedGraph whose adjacency lives on
 // disk: walkers are bucketed by the vertex block containing their
-// current position (walker_buckets.hpp), blocks are visited in
-// ascending id order, each block's targets extent is pulled through an
-// LRU ExtentCache (one sequential read per load), and every resident
+// current position (walker_buckets.hpp), each bucket pass visits the
+// touched blocks in id order, alternating ascending and descending from
+// pass to pass (so a pass starts on the blocks the previous one left
+// resident), each block's targets extent is read through an LRU
+// ExtentCache (one sequential pread per load), and every resident
 // walker advances until it exits the block or its round budget for the
 // current horizon ends. With B blocks and k walkers, one horizon costs
 // O(min(horizon, B)·B) block loads instead of O(horizon·k) random 4 KB
 // faults — the drunkardmob trade.
 //
 // Determinism contract v4: the schedule — horizon boundaries, bucket
-// rebuilds, block order, in-block lane order — is a pure function of
+// rebuilds, block order (alternating direction per bucket pass, restarted
+// by reset()), in-block lane order — is a pure function of
 // (graph, k, seed, laziness, step_cap). The memory budget shapes ONLY
 // which extents stay cached, never what is executed when, so runs are
 // bit-identical at every budget; and because each lane's trajectory is a
@@ -122,6 +125,7 @@ class BlockWalkEngine {
   std::vector<Vertex> tokens_;
   LaneRngs lane_rngs_;
   bool lanes_seeded_ = false;
+  bool descending_ = false;  // next bucket pass sweeps blocks high to low
   WalkerBuckets buckets_;
   std::vector<std::uint32_t> rounds_left_;
   Stats stats_;

@@ -5,8 +5,11 @@
 // fixed-round runs, chunked runs, lazy walks, and through the blocked
 // Monte-Carlo estimators, which also meet the exact k-cover oracle.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +17,7 @@
 #include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/families.hpp"
@@ -295,6 +299,115 @@ TEST(ExtentCache, OversizedExtentStaysResident) {
   EXPECT_EQ(cache.stats().evictions, blocked.num_blocks() - 1);
 }
 
+TEST(ExtentCache, TruncatedStoreFailsCleanly) {
+  TempFile file("cache_cut.mwg");
+  const Graph g = make_margulis_expander(16);  // 4 blocks of 2 KiB extents
+  write_mwg(file.path(), g, 6);
+  const BlockedGraph blocked(file.path());
+  // Every block's byte range, read from the block index before the cut
+  // (the index sits at the file's tail and stays mapped; the cache itself
+  // never touches it).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  for (std::uint64_t b = 0; b < blocked.num_blocks(); ++b) {
+    ranges.emplace_back(blocked.block_byte_begin(b), blocked.block_byte_end(b));
+  }
+  // The store shrinks under the walk: cut it in the middle of the targets,
+  // inside block 2, so block 2 reads short and block 3 reads nothing.
+  const std::uint64_t cut = (ranges[2].first + ranges[2].second) / 2;
+  std::filesystem::resize_file(file.path(), cut);
+
+  ExtentCache cache(blocked, 1 << 20);
+  std::size_t failures = 0;
+  for (const auto& [begin, end] : ranges) {
+    if (end <= cut) {
+      EXPECT_NE(cache.acquire(begin, end), nullptr);
+      continue;
+    }
+    try {
+      cache.acquire(begin, end);
+      ADD_FAILURE() << "extent [" << begin << "," << end
+                    << ") past the cut at " << cut << " loaded";
+    } catch (const MwgIoError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("extent [" + std::to_string(begin) + "," +
+                          std::to_string(end) + ")"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(file.path()), std::string::npos) << what;
+      ++failures;
+    }
+  }
+  EXPECT_EQ(failures, 2u);  // blocks 2 and 3 lie past the cut
+  EXPECT_EQ(cache.stats().loads, 2u);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedAllocator = true;
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+
+/// A 2-vertex v2 store whose one block holds `arcs` target words, all
+/// vertex 0, left as a file hole so no adjacency bytes reach the disk. It
+/// passes the header check and structure scan; it is never walked.
+void write_sparse_store(const std::string& path, std::uint64_t arcs) {
+  MwgHeader header{};
+  std::memcpy(header.magic, kMwgMagic, sizeof(kMwgMagic));
+  header.endian = kMwgEndianTag;
+  header.version = kMwgVersionBlockIndex;
+  header.num_vertices = 2;
+  header.num_arcs = arcs;
+  header.min_degree = header.max_degree = static_cast<Vertex>(arcs / 2);
+  header.reserved[0] = 1;  // one block of both vertices
+  const std::uint64_t offsets[] = {0, arcs / 2, arcs};
+  const std::uint64_t block_arc_begin[] = {0, arcs};
+  const Vertex block_max_degree[] = {header.max_degree};
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+  out.write(reinterpret_cast<const char*>(offsets), sizeof(offsets));
+  out.seekp(static_cast<std::streamoff>(mwg_block_index_begin(2, arcs)));
+  out.write(reinterpret_cast<const char*>(block_arc_begin),
+            sizeof(block_arc_begin));
+  out.write(reinterpret_cast<const char*>(block_max_degree),
+            sizeof(block_max_degree));
+}
+
+/// Caps the address space 64 MiB above the process's current size, then
+/// acquires `graph`'s block 0. Returns 0 if that throws MwgIoError (its
+/// what() goes to stderr), 1 if the acquire succeeds, 2 if the cap
+/// cannot be set.
+int acquire_block0_under_address_cap(const BlockedGraph& graph) {
+  std::uint64_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const auto cap = static_cast<rlim_t>(
+      pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)) +
+      (std::uint64_t{64} << 20));
+  const rlimit limit{cap, cap};
+  if (::setrlimit(RLIMIT_AS, &limit) != 0) return 2;
+  ExtentCache cache(graph, std::uint64_t{1} << 30);
+  try {
+    cache.acquire(graph.block_byte_begin(0), graph.block_byte_end(0));
+  } catch (const MwgIoError& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return 0;
+  }
+  return 1;
+}
+
+TEST(ExtentCache, UnallocatableBufferFailsCleanly) {
+  if (kSanitizedAllocator) {
+    GTEST_SKIP() << "sanitizer allocators abort under an address-space cap";
+  }
+  TempFile file("cache_nomem.mwg");
+  write_sparse_store(file.path(), std::uint64_t{1} << 26);  // 256 MiB extent
+  const BlockedGraph blocked(file.path());
+  ASSERT_EQ(blocked.num_blocks(), 1u);
+  // A budget the machine cannot honor: the read buffer cannot be
+  // allocated, and that must be a clean MwgIoError, not std::bad_alloc.
+  EXPECT_EXIT(std::_Exit(acquire_block0_under_address_cap(blocked)),
+              ::testing::ExitedWithCode(0), "cannot allocate 268435456 bytes");
+}
+
 // --- reader agreement --------------------------------------------------------
 //
 // MappedGraph and BlockedGraph share one header check and one structure
@@ -473,18 +586,23 @@ TEST(MwgReaders, MovedFromReadersUnmapEachMappingOnce) {
     }
 
     {
-      std::optional<MappedExtent> first(moved.map_extent(
-          moved.block_byte_begin(0), moved.block_byte_end(0)));
-      MappedExtent second =
-          moved.map_extent(moved.block_byte_begin(1), moved.block_byte_end(1));
-      second = std::move(*first);  // unmaps block 1, takes over block 0
-      first.reset();
-      const auto* arcs = reinterpret_cast<const Vertex*>(second.data());
-      for (std::uint64_t a = 0; a < moved.block_arc_begin(1); ++a) {
-        ASSERT_EQ(arcs[a], g.targets()[a]);
+      // Extents are read into the cache's own buffers: acquiring every
+      // block adds no mapping and returns exactly the stored targets.
+      ExtentCache cache(moved, 1 << 20);
+      std::vector<const Vertex*> blocks;
+      for (std::uint64_t b = 0; b < moved.num_blocks(); ++b) {
+        blocks.push_back(reinterpret_cast<const Vertex*>(cache.acquire(
+            moved.block_byte_begin(b), moved.block_byte_end(b))));
+      }
+      EXPECT_EQ(live_mappings(file.path()), mapped);
+      for (std::uint64_t b = 0; b < moved.num_blocks(); ++b) {
+        const std::uint64_t arc0 = moved.block_arc_begin(b);
+        for (std::uint64_t a = arc0; a < moved.block_arc_begin(b + 1); ++a) {
+          ASSERT_EQ(blocks[b][a - arc0], g.targets()[a]) << "arc " << a;
+        }
       }
     }
-    // Both extents are gone; the reader's own mappings are untouched.
+    // The reader's own mappings are untouched.
     EXPECT_EQ(live_mappings(file.path()), mapped);
   }
   EXPECT_EQ(live_mappings(file.path()), 0u);
@@ -713,6 +831,42 @@ TEST(BlockEngineContract, LazyWalkBitIdentical) {
   EXPECT_EQ(expect.steps, got.steps);
   EXPECT_EQ(expect.covered, got.covered);
   expect_same_end_state(in_core, engine);
+}
+
+TEST(BlockEngineContract, AlternatingSweepsHitTheCache) {
+  // 16 blocks of 8 KiB extents under a budget of 4 extents, with walkers
+  // on every block: an ascending-only sweep is the cyclic pattern on which
+  // LRU never hits. Alternating the sweep direction starts each pass on
+  // the blocks the previous pass left resident, and moves no result.
+  const Graph graph = make_margulis_expander(64);  // n = 4096, 8-regular
+  TempFile file("sweep.mwg");
+  write_mwg(file.path(), graph, 8);
+  const BlockedGraph blocked(file.path());
+  ASSERT_EQ(blocked.num_blocks(), 16u);
+  const std::uint64_t extent =
+      blocked.block_byte_end(0) - blocked.block_byte_begin(0);
+  std::vector<Vertex> starts;
+  for (Vertex v = 0; v < graph.num_vertices(); v += 8) starts.push_back(v);
+
+  WalkEngine in_core(graph);
+  Rng rng_a(5);
+  in_core.reset(starts);
+  in_core.run_for_steps(kBlockHorizon, rng_a);
+  BlockWalkEngine engine(blocked, 4 * extent);
+  Rng rng_b(5);
+  engine.reset(starts);
+  engine.run_for_steps(kBlockHorizon, rng_b);
+  expect_same_end_state(in_core, engine);
+  EXPECT_EQ(rng_a.state(), rng_b.state());
+  EXPECT_EQ(engine.stats().horizons, 1u);
+  EXPECT_GT(engine.stats().bucket_passes, 1u);
+  // Every block visit is one acquire. An ascending-only sweep serves 2 of
+  // this run's 620 visits from the cache; alternation serves 151.
+  const ExtentCache::Stats& cache = engine.cache_stats();
+  EXPECT_EQ(cache.loads + cache.hits, engine.stats().block_visits);
+  EXPECT_GT(cache.hits, 0u);
+  EXPECT_GT(10 * cache.hits, engine.stats().block_visits);
+  EXPECT_LE(cache.peak_resident_bytes, 4 * extent);
 }
 
 // --- the cover funnel over the out-of-core source ---------------------------

@@ -384,9 +384,9 @@ class MmapOutsideStorageRule(Rule):
         "memory-mapping syscalls (mmap/munmap/mremap/madvise/posix_madvise/"
         "msync/mincore/mlock/munlock) outside src/storage/ — mappings and "
         "their advice lifetimes belong to the storage layer (MappedGraph, "
-        "ExtentCache) so the out-of-core budget accounting sees every "
-        "resident byte; map through BlockedGraph::map_extent or MappedGraph "
-        "instead"
+        "BlockedGraph) so the out-of-core budget accounting sees every "
+        "resident byte; read adjacency through ExtentCache::acquire or "
+        "MappedGraph instead"
     )
     EXEMPT_PREFIX = "src/storage/"
     # Call syntax only, and not member calls (`cache.madvise(...)` would be
@@ -409,7 +409,7 @@ class MmapOutsideStorageRule(Rule):
                     "madvise lifetimes are owned by the storage layer so the "
                     "out-of-core memory budget accounts for every resident "
                     "extent; go through MappedGraph or "
-                    "BlockedGraph::map_extent",
+                    "ExtentCache::acquire",
                 )
             )
         return findings
