@@ -1,6 +1,6 @@
-// P1 — google-benchmark suite for the simulation engine itself: raw walk
-// stepping throughput per family, batched WalkEngine cover trials
-// (steps/second), k-walk round cost, and Monte-Carlo thread scaling. These
+// P1 — google-benchmark suite for the simulation engine itself: batched
+// WalkEngine cover trials (steps/second), k-walk round cost, and
+// Monte-Carlo thread scaling. These
 // numbers justify the experiment harness's feasible scales (steps/second
 // on a laptop).
 //
@@ -35,54 +35,19 @@
 #include "mc/estimators.hpp"
 #include "walk/cover.hpp"
 #include "walk/engine.hpp"
-#include "walk/walker.hpp"
 
 namespace {
 
 using namespace manywalks;
 
-void BM_StepThroughput(benchmark::State& state, const Graph& g) {
-  Rng rng(1);
-  Vertex v = 0;
-  for (auto _ : state) {
-    v = step_walk(g, v, rng);
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
-const Graph& cycle_graph() {
-  static const Graph g = make_cycle(1 << 16);
-  return g;
-}
 const Graph& grid_graph() {
   static const Graph g = make_grid_2d(255);
-  return g;
-}
-const Graph& hypercube_graph() {
-  static const Graph g = make_hypercube(16);
   return g;
 }
 const Graph& margulis_graph() {
   static const Graph g = make_margulis_expander(255);
   return g;
 }
-const Graph& complete_graph() {
-  static const Graph g = make_complete(2048);
-  return g;
-}
-
-void BM_StepCycle(benchmark::State& state) { BM_StepThroughput(state, cycle_graph()); }
-void BM_StepGrid2d(benchmark::State& state) { BM_StepThroughput(state, grid_graph()); }
-void BM_StepHypercube(benchmark::State& state) { BM_StepThroughput(state, hypercube_graph()); }
-void BM_StepMargulis(benchmark::State& state) { BM_StepThroughput(state, margulis_graph()); }
-void BM_StepComplete(benchmark::State& state) { BM_StepThroughput(state, complete_graph()); }
-
-BENCHMARK(BM_StepCycle);
-BENCHMARK(BM_StepGrid2d);
-BENCHMARK(BM_StepHypercube);
-BENCHMARK(BM_StepMargulis);
-BENCHMARK(BM_StepComplete);
 
 // ---------------------------------------------------------------------------
 // Batched WalkEngine, k-token partial-cover trials on the three headline
@@ -90,9 +55,8 @@ BENCHMARK(BM_StepComplete);
 // ---------------------------------------------------------------------------
 constexpr unsigned kTokens = 16;
 
-/// Smaller cycle than the stepping-throughput instance: cycle cover is
-/// Theta(n^2), and 2^16 vertices would leave the benchmark a single
-/// multi-second iteration.
+/// A 2^13-cycle: cycle cover is Theta(n^2), and 2^16 vertices would leave
+/// the benchmark a single multi-second iteration.
 const Graph& cover_cycle_graph() {
   static const Graph g = make_cycle(1 << 13);
   return g;

@@ -9,6 +9,7 @@
 //   # manywalks-graph 1
 //   <num_vertices>
 //   <u> <v>        (one line per edge)
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
 
   // --- walk profile ------------------------------------------------------
   McOptions mc;
-  mc.min_trials = std::max<std::uint64_t>(trials / 4, 8);
+  mc.min_trials = std::min(std::max<std::uint64_t>(trials / 4, 8), trials);
   mc.max_trials = trials;
   mc.seed = mix64(seed ^ 0x1);
 

@@ -8,8 +8,12 @@
 // rounds until any walker lands on a replica. The example sweeps k and
 // shows the near-linear latency reduction the paper predicts for expanders,
 // and contrasts it with a ring overlay where k walkers barely help.
+// The latency is the k-walk hitting time of the replica set
+// (sample_hitting_time); with --replicas 1 it is the paper's hunting
+// scenario of k hunters pursuing a prey that hides at a fixed vertex.
 //
 //   ./p2p_search [--peers 4096] [--replicas 16] [--trials 400]
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -18,54 +22,44 @@
 #include "mc/monte_carlo.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
-#include "walk/walker.hpp"
+#include "walk/cover.hpp"
 
 namespace {
 
 using namespace manywalks;
 
-/// Rounds until any of k walkers starting at `query_origin` reaches one of
-/// the `replicas` (bit vector).
-std::uint64_t search_latency(const Graph& g, Vertex query_origin, unsigned k,
-                             const std::vector<bool>& is_replica, Rng& rng,
-                             std::uint64_t cap) {
-  if (is_replica[query_origin]) return 0;
-  std::vector<Vertex> walkers(k, query_origin);
-  for (std::uint64_t t = 1; t <= cap; ++t) {
-    for (Vertex& w : walkers) {
-      w = step_walk(g, w, rng);
-      if (is_replica[w]) return t;
-    }
-  }
-  return cap;
-}
-
 McResult measure(const Graph& g, unsigned k, double replica_fraction,
                  std::uint64_t trials, std::uint64_t seed) {
   const Vertex n = g.num_vertices();
-  const auto num_replicas =
-      std::max<Vertex>(1, static_cast<Vertex>(replica_fraction * n));
+  // At least one replica, and at least one peer left to issue the query.
+  const auto num_replicas = std::clamp<Vertex>(
+      static_cast<Vertex>(replica_fraction * n), 1, n - 1);
   McOptions mc;
   mc.min_trials = trials;
   mc.max_trials = trials;
   mc.seed = seed;
+  const CsrSubstrate substrate(g);
+  CoverOptions cover;
+  cover.step_cap = 100ULL * n;
   return run_monte_carlo(
       [&](std::uint64_t, Rng& rng) {
         // Fresh replica placement and query origin per trial.
+        std::vector<Vertex> replicas;
         std::vector<bool> is_replica(n, false);
-        for (Vertex placed = 0; placed < num_replicas;) {
+        while (replicas.size() < num_replicas) {
           const Vertex v = rng.uniform_below(n);
           if (!is_replica[v]) {
             is_replica[v] = true;
-            ++placed;
+            replicas.push_back(v);
           }
         }
         Vertex origin = rng.uniform_below(n);
         while (is_replica[origin]) origin = rng.uniform_below(n);
-        const std::uint64_t cap = 100ULL * n;
-        const std::uint64_t latency =
-            search_latency(g, origin, k, is_replica, rng, cap);
-        return TrialOutcome{static_cast<double>(latency), latency == cap};
+        const std::vector<Vertex> walkers(k, origin);
+        const CoverSample latency =
+            sample_hitting_time(substrate, walkers, replicas, rng, cover);
+        return TrialOutcome{static_cast<double>(latency.steps),
+                            !latency.covered};
       },
       mc);
 }

@@ -4,6 +4,7 @@
 //
 //   ./speedup_explorer --family cycle --n 513 --kmax 64
 //   ./speedup_explorer --family margulis --n 1024 --kmax 256 --trials 300
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -50,7 +51,8 @@ int main(int argc, char** argv) {
 
   ExperimentOptions options;
   options.seed = seed;
-  options.mc.min_trials = std::max<std::uint64_t>(trials / 4, 8);
+  options.mc.min_trials =
+      std::min(std::max<std::uint64_t>(trials / 4, 8), trials);
   options.mc.max_trials = trials;
 
   if (!skip_profile) {

@@ -135,7 +135,9 @@ int run_experiment_main(std::string_view name, int argc, char** argv) {
       .add_option("n", &params.n, "target graph size (0 = preset)")
       .add_option("trials", &params.trials, "Monte-Carlo trials (0 = preset)")
       .add_option("seed", &params.seed, "master seed")
-      .add_option("threads", &params.threads, "worker threads (0 = hardware)")
+      .add_option("threads", &params.threads,
+                  "pool workers; the calling thread also runs trials "
+                  "(0 = hardware)")
       .add_option("format", &format_text, "output format: text, json, csv")
       .add_option("out", &sink.out_dir,
                   "directory for json/csv files (default: stdout)")

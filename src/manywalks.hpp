@@ -34,7 +34,5 @@
 #include "util/timer.hpp"
 #include "walk/cover.hpp"
 #include "walk/engine.hpp"
-#include "walk/hitting.hpp"
 #include "walk/sampling.hpp"
 #include "walk/visit_tracker.hpp"
-#include "walk/walker.hpp"

@@ -9,36 +9,18 @@
 namespace manywalks {
 
 McResult estimate_hitting_time(const Graph& g, Vertex from, Vertex to,
-                               const McOptions& mc, const HitOptions& hit,
+                               const McOptions& mc, const CoverOptions& cover,
                                ThreadPool* pool) {
+  const CsrSubstrate substrate(g);
+  const Vertex starts[1] = {from};
+  const Vertex targets[1] = {to};
   return run_monte_carlo(
-      [&g, from, to, &hit](std::uint64_t, Rng& rng) {
-        const HitSample sample = sample_hitting_time(g, from, to, rng, hit);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.hit};
+      [&](std::uint64_t, Rng& rng) {
+        const CoverSample sample =
+            sample_hitting_time(substrate, starts, targets, rng, cover);
+        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
       },
       mc, pool);
-}
-
-MaxCoverEstimate estimate_max_cover_time(const Graph& g,
-                                         std::span<const Vertex> starts,
-                                         const McOptions& mc,
-                                         const CoverOptions& cover,
-                                         ThreadPool* pool) {
-  MW_REQUIRE(!starts.empty(), "need at least one candidate start");
-  MaxCoverEstimate best;
-  bool first = true;
-  std::uint64_t salt = 0;
-  for (Vertex start : starts) {
-    McOptions per_start = mc;
-    per_start.seed = mix64(mc.seed ^ (0xc0ffee + salt++));
-    McResult result = estimate_cover_time(g, start, per_start, cover, pool);
-    if (first || result.ci.mean > best.result.ci.mean) {
-      best.result = std::move(result);
-      best.argmax_start = start;
-      first = false;
-    }
-  }
-  return best;
 }
 
 SpeedupEstimate combine_speedup(unsigned k, const McResult& single,

@@ -15,7 +15,6 @@
 #include "graph/substrate.hpp"
 #include "mc/monte_carlo.hpp"
 #include "walk/cover.hpp"
-#include "walk/hitting.hpp"
 #include "walk/sampling.hpp"
 
 namespace manywalks {
@@ -322,21 +321,11 @@ inline SpeedupEstimate estimate_speedup(const Graph& g, Vertex start,
 
 // --- beyond cover ------------------------------------------------------------
 
-/// Estimates h(from, to) for a single walk.
+/// Estimates h(from, to) for a single walk (sample_hitting_time trials;
+/// laziness and the round cap come from `cover`).
 McResult estimate_hitting_time(const Graph& g, Vertex from, Vertex to,
-                               const McOptions& mc, const HitOptions& hit = {},
+                               const McOptions& mc,
+                               const CoverOptions& cover = {},
                                ThreadPool* pool = nullptr);
-
-/// C(G) = max_i C_i over the supplied candidate starts (each estimated
-/// independently; returns the max and its argmax).
-struct MaxCoverEstimate {
-  McResult result;
-  Vertex argmax_start = 0;
-};
-MaxCoverEstimate estimate_max_cover_time(const Graph& g,
-                                         std::span<const Vertex> starts,
-                                         const McOptions& mc,
-                                         const CoverOptions& cover = {},
-                                         ThreadPool* pool = nullptr);
 
 }  // namespace manywalks

@@ -70,7 +70,7 @@ double exact_k_cover_time(const Graph& g, std::span<const Vertex> starts,
                           std::size_t max_states_per_system = 729);
 
 /// Exact expected rounds for a k-walk from `starts` until ANY token stands
-/// on `target` (the pursuit/search quantity of sample_multi_hitting_time).
+/// on `target` (the pursuit/search quantity sample_hitting_time samples).
 /// One dense solve over the n^k product-chain states with the target made
 /// absorbing; n^k is capped by `max_states`.
 double exact_k_hitting_time(const Graph& g, std::span<const Vertex> starts,

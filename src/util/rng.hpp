@@ -110,9 +110,10 @@ class Xoshiro256PlusPlus {
   /// Uniform value in [0, bound), bound >= 1. Lemire's nearly-divisionless
   /// method: one multiply in the common case, unbiased.
   ///
-  /// Deliberately consumes only the LOW 32 bits of each 64-bit draw: this
-  /// is the draw the walker.hpp single steps (and so the hitting-time and
-  /// return-time samplers) are pinned to, so its mapping can never change.
+  /// Deliberately consumes only the LOW 32 bits of each 64-bit draw: the
+  /// random-regular generator's stub pairing (and so every experiment's
+  /// random-regular instance) is pinned to this mapping, so it can never
+  /// change.
   /// New code that is free to pick its own stream should prefer
   /// uniform_below_wide, whose rejection re-draws are ~2^32x rarer at large
   /// bounds.

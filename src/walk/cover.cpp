@@ -37,6 +37,12 @@ CoverSample sample_k_cover_time(const Graph& g, Vertex start, unsigned k,
                                 rng, options);
 }
 
+CoverSample sample_hitting_time(const Graph& g, std::span<const Vertex> starts,
+                                std::span<const Vertex> targets, Rng& rng,
+                                const CoverOptions& options) {
+  return sample_hitting_time(CsrSubstrate(g), starts, targets, rng, options);
+}
+
 CoverSample sample_partial_cover_time(const Graph& g,
                                       std::span<const Vertex> starts,
                                       double fraction, Rng& rng,

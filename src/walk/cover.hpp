@@ -1,6 +1,7 @@
 // Cover-time sampling for single walks and k-walks (the paper's central
-// random variables τ_i and τ^k_i), over explicit CSR graphs and over
-// implicit substrates (graph/substrate.hpp).
+// random variables τ_i and τ^k_i), and k-walk hitting times as cover runs
+// to a target set, over explicit CSR graphs and over implicit substrates
+// (graph/substrate.hpp).
 //
 // Timing convention: the starting vertices count as visited at t = 0, and
 // in each round every token takes one step. The sampled value is the first
@@ -13,6 +14,7 @@
 // determinism contract v2).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -45,6 +47,16 @@ CoverSample sample_multi_cover_time(const Graph& g,
 /// One cover-time sample of k walks all starting at `start` (τ^k_start).
 CoverSample sample_k_cover_time(const Graph& g, Vertex start, unsigned k,
                                 Rng& rng, const CoverOptions& options = {});
+
+/// Rounds until some token stands on a vertex of `targets` (the k-walk
+/// hitting time of the set; the paper's search and hunting quantity). Runs
+/// on the same engine as cover: every vertex outside the set starts
+/// visited, so the run is a cover run to n - |distinct targets| + 1
+/// vertices. A start on a target gives 0 rounds; covered == false iff
+/// `options.step_cap` was reached first.
+CoverSample sample_hitting_time(const Graph& g, std::span<const Vertex> starts,
+                                std::span<const Vertex> targets, Rng& rng,
+                                const CoverOptions& options = {});
 
 /// Rounds until at least ceil(fraction * n) distinct vertices are visited.
 CoverSample sample_partial_cover_time(const Graph& g,
@@ -100,7 +112,8 @@ WalkEngineT<S>& pooled_substrate_engine(const S& substrate) {
 /// One k-walk trial run until `target` distinct vertices are visited or
 /// the cap is reached (the primitive the fixed-target giant experiments
 /// sample: full cover at n = 10^8 is out of reach, partial cover is not).
-/// Every sampler here, and the InCore engine source, delegates through it.
+/// Every cover sampler here, and the InCore engine source, delegates
+/// through it.
 template <Substrate S>
 CoverSample sample_cover_to_target(const S& substrate,
                                    std::span<const Vertex> starts,
@@ -109,6 +122,23 @@ CoverSample sample_cover_to_target(const S& substrate,
   WalkEngineT<S>& engine = pooled_substrate_engine(substrate);
   engine.reset(starts);
   return engine.run_until_visited(target, rng, options);
+}
+
+template <Substrate S>
+CoverSample sample_hitting_time(const S& substrate,
+                                std::span<const Vertex> starts,
+                                std::span<const Vertex> targets, Rng& rng,
+                                const CoverOptions& options = {}) {
+  MW_REQUIRE(!targets.empty(), "hitting time needs at least one target");
+  std::vector<Vertex> distinct(targets.begin(), targets.end());
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  WalkEngineT<S>& engine = pooled_substrate_engine(substrate);
+  engine.reset(starts, targets);
+  return engine.run_until_visited(
+      substrate.num_vertices() - static_cast<Vertex>(distinct.size()) + 1,
+      rng, options);
 }
 
 template <Substrate S>

@@ -1,14 +1,14 @@
-// Batched k-walk engine: the hot path behind every cover-time sampler.
+// Batched k-walk engine: the hot path behind every cover- and hitting-time
+// sampler.
 //
-// The per-step helpers in walker.hpp re-derive degree and neighbor spans
-// through the Graph accessors on every call. WalkEngineT instead binds a
-// Substrate (graph/substrate.hpp) once — the CSR arrays for an explicit
-// Graph, or a closed-form adjacency for the implicit families — and then
-// advances ALL k tokens per round with a register-resident substrate copy,
-// a loop-hoisted laziness branch, and a word-level visited scratch that
-// stays cache-resident on large graphs. On an implicit substrate the
-// n/8-byte scratch is the ONLY O(n) allocation, which is what lets the
-// giant-graph experiments run at n = 10^7–10^8 with no CSR ever built.
+// WalkEngineT binds a Substrate (graph/substrate.hpp) once — the CSR arrays
+// for an explicit Graph, or a closed-form adjacency for the implicit
+// families — and then advances ALL k tokens per round with a
+// register-resident substrate copy, a loop-hoisted laziness branch, and a
+// word-level visited scratch that stays cache-resident on large graphs. On
+// an implicit substrate the n/8-byte scratch is the ONLY O(n) allocation,
+// which is what lets the giant-graph experiments run at n = 10^7–10^8 with
+// no CSR ever built.
 //
 // Sampling (determinism contract v2, docs/ARCHITECTURE.md "RNG scheme"):
 // each token owns an independent lane stream derived from a single 64-bit
@@ -303,12 +303,22 @@ class WalkEngineT {
 
   /// Re-seeds the tokens (each validated against the vertex range) and
   /// resets the visited scratch; the starts count as visited at t = 0.
-  /// Cheap enough to call once per Monte-Carlo trial. Also discards the
-  /// lane streams: the next run derives fresh lanes from its caller's
-  /// stream.
-  void reset(std::span<const Vertex> starts) {
+  /// With a non-empty `targets`, every vertex outside the target set starts
+  /// visited, so the visited count first grows when a token stands on a
+  /// target (the hitting-time runs of cover.hpp). Cheap enough to call once
+  /// per Monte-Carlo trial. Also discards the lane streams: the next run
+  /// derives fresh lanes from its caller's stream.
+  void reset(std::span<const Vertex> starts,
+             std::span<const Vertex> targets = {}) {
     MW_REQUIRE(!starts.empty(), "k-walk needs at least one token");
-    tracker_.reset();
+    if (targets.empty()) {
+      tracker_.reset();
+    } else {
+      for (const Vertex t : targets) {
+        MW_REQUIRE(t < num_vertices_, "target vertex out of range");
+      }
+      tracker_.reset_all_visited_except(targets);
+    }
     tokens_.assign(starts.begin(), starts.end());
     for (Vertex s : tokens_) {
       MW_REQUIRE(s < num_vertices_, "start vertex out of range");

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -69,6 +70,24 @@ class WordVisitTracker {
   void reset() {
     std::fill(words_.begin(), words_.end(), 0);
     num_visited_ = 0;
+  }
+
+  /// Marks every vertex visited except `unvisited` (each < n; duplicates
+  /// allowed). The bits past n in the last word stay clear, so a popcount
+  /// of the words is still the visited count.
+  void reset_all_visited_except(std::span<const Vertex> unvisited) {
+    std::fill(words_.begin(), words_.end(), ~std::uint64_t{0});
+    if (const unsigned tail = num_vertices_ & 63; tail != 0) {
+      words_.back() = (std::uint64_t{1} << tail) - 1;
+    }
+    num_visited_ = num_vertices_;
+    for (const Vertex v : unvisited) {
+      std::uint64_t& word = words_[v >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+      if ((word & bit) == 0) continue;
+      word &= ~bit;
+      --num_visited_;
+    }
   }
 
   /// Marks v visited; returns true on first visit. The already-visited

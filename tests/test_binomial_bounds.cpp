@@ -4,12 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "linalg/spectral.hpp"
 #include "theory/bounds.hpp"
 #include "util/rng.hpp"
-#include "walk/walker.hpp"
+#include "walk/cover.hpp"
 
 namespace manywalks {
 namespace {
@@ -76,19 +77,15 @@ TEST(Lemma19, VisitProbabilityHoldsOnCertifiedMargulis) {
   const auto walk_len = static_cast<std::uint64_t>(std::ceil(bound.walk_length));
 
   Rng rng(1919);
-  const Vertex u = 0;
-  const Vertex v = g.num_vertices() / 2 + 7;  // arbitrary distant target
+  const std::vector<Vertex> u = {0};
+  // Arbitrary distant target.
+  const std::vector<Vertex> v = {g.num_vertices() / 2 + 7};
+  CoverOptions within;
+  within.step_cap = walk_len;
   const int trials = 60000;
   int hits = 0;
   for (int i = 0; i < trials; ++i) {
-    Vertex w = u;
-    for (std::uint64_t t = 0; t < walk_len; ++t) {
-      w = step_walk(g, w, rng);
-      if (w == v) {
-        ++hits;
-        break;
-      }
-    }
+    if (sample_hitting_time(g, u, v, rng, within).covered) ++hits;
   }
   const double measured = static_cast<double>(hits) / trials;
   // Allow 3 standard errors of slack below the point estimate.

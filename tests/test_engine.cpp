@@ -421,6 +421,48 @@ TEST(WalkEngine, ShardedPartialTargetsMatchSerial) {
   }
 }
 
+TEST(WalkEngine, TargetResetLeavesOnlyTargetsUnvisited) {
+  // n = 70 leaves 6 live bits in the last word; the bits past n stay clear.
+  const Graph g = make_cycle(70);
+  WalkEngine engine(g);
+  const std::vector<Vertex> starts = {0};
+  const std::vector<Vertex> targets = {3, 69, 3};
+  engine.reset(starts, targets);
+  EXPECT_EQ(engine.num_visited(), 68u);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(engine.visited(v), v != 3 && v != 69) << "v=" << v;
+  }
+  const std::vector<Vertex> on_target = {69, 1};
+  engine.reset(on_target, targets);
+  EXPECT_EQ(engine.num_visited(), 69u);
+  const std::vector<Vertex> outside = {70};
+  EXPECT_THROW(engine.reset(starts, outside), std::invalid_argument);
+  // A plain reset forgets the target fill.
+  engine.reset(starts);
+  EXPECT_EQ(engine.num_visited(), 1u);
+}
+
+TEST(WalkEngine, ShardedHittingMatchesSerial) {
+  // The sharded driver popcounts the pre-filled words, so a stray bit past
+  // n (101 = one word plus 37 bits) would move its crossing round.
+  const Graph g = make_cycle(101);
+  ThreadPool pool(2);
+  const std::vector<Vertex> starts(4, 0);
+  const std::vector<Vertex> targets = {40, 60};
+  CoverOptions opt;
+  opt.lane_shards = 2;
+  opt.shard_pool = &pool;
+  for (std::uint64_t trial = 0; trial < 12; ++trial) {
+    Rng ref_rng = make_trial_rng(0xabULL, trial);
+    const CoverSample expected =
+        sample_hitting_time(g, starts, targets, ref_rng);
+    Rng rng = make_trial_rng(0xabULL, trial);
+    const CoverSample actual = sample_hitting_time(g, starts, targets, rng, opt);
+    ASSERT_TRUE(expected.covered);
+    ASSERT_EQ(expected.steps, actual.steps) << "trial=" << trial;
+  }
+}
+
 TEST(WalkEngine, ShardedStepCapTruncatesLikeSerial) {
   const Graph g = make_cycle(1024);
   ThreadPool pool(2);

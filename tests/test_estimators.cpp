@@ -65,13 +65,6 @@ TEST(EstimateHittingTime, MatchesExactOnCycle) {
               4.0 * result.ci.half_width + 1e-9);
 }
 
-TEST(EstimateMaxCoverTime, PicksWorstStartOnBarbell) {
-  const Graph g = make_barbell(11);
-  const std::vector<Vertex> starts = {0, barbell_center(11)};
-  const auto best = estimate_max_cover_time(g, starts, quick_mc(600));
-  EXPECT_EQ(best.argmax_start, barbell_center(11));
-}
-
 TEST(EstimateSpeedup, KOneIsExactlyOne) {
   const Graph g = make_cycle(9);
   const auto s = estimate_speedup(g, 0, 1, quick_mc(64));

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "theory/exact.hpp"
 #include "util/rng.hpp"
 #include "walk/cover.hpp"
-#include "walk/walker.hpp"
 
 namespace manywalks {
 namespace {
@@ -52,17 +52,14 @@ TEST(VisitProbabilityWithin, MatchesMonteCarlo) {
   const auto exact = visit_probability_within(g, target, t);
 
   Rng rng(88);
+  const std::vector<Vertex> from = {0};
+  const std::vector<Vertex> to = {target};
+  CoverOptions within;
+  within.step_cap = t;
   const int trials = 40000;
   int hits = 0;
   for (int i = 0; i < trials; ++i) {
-    Vertex v = 0;
-    for (std::uint64_t step = 0; step < t; ++step) {
-      v = step_walk(g, v, rng);
-      if (v == target) {
-        ++hits;
-        break;
-      }
-    }
+    if (sample_hitting_time(g, from, to, rng, within).covered) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / trials, exact[0], 0.01);
 }

@@ -1,12 +1,12 @@
-// Exact k-walk hitting-time oracle and its cross-check against the
-// multi-token hitting sampler (the pursuit quantity from examples/hunting).
+// Exact k-walk hitting-time oracle and its cross-check against the k-walk
+// hitting sampler (the hunting and search quantity of the paper's §1).
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
 #include "theory/exact.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "walk/hitting.hpp"
+#include "walk/cover.hpp"
 
 namespace manywalks {
 namespace {
@@ -91,13 +91,14 @@ TEST(ExactKHitting, MatchesMultiHittingSampler) {
   const Graph g = make_star(6);
   const std::vector<Vertex> starts = {1, 2};
   const Vertex target = 5;
+  const std::vector<Vertex> targets = {target};
   const double exact = exact_k_hitting_time(g, starts, target, 4096);
 
   Rng rng(314);
   RunningStats stats;
   for (int i = 0; i < 20000; ++i) {
     stats.add(static_cast<double>(
-        sample_multi_hitting_time(g, starts, target, rng).steps));
+        sample_hitting_time(g, starts, targets, rng).steps));
   }
   const auto ci = mean_confidence_interval(stats);
   EXPECT_NEAR(ci.mean, exact, 5.0 * ci.half_width);
@@ -107,13 +108,14 @@ TEST(ExactKHitting, MatchesSamplerOnBarbellAcrossBells) {
   const Graph g = make_barbell(7);
   const std::vector<Vertex> starts = {0, 0};
   const Vertex target = 6;
+  const std::vector<Vertex> targets = {target};
   const double exact = exact_k_hitting_time(g, starts, target, 4096);
 
   Rng rng(315);
   RunningStats stats;
   for (int i = 0; i < 8000; ++i) {
     stats.add(static_cast<double>(
-        sample_multi_hitting_time(g, starts, target, rng).steps));
+        sample_hitting_time(g, starts, targets, rng).steps));
   }
   const auto ci = mean_confidence_interval(stats);
   EXPECT_NEAR(ci.mean, exact, 5.0 * ci.half_width);

@@ -10,7 +10,6 @@
 #include "mc/estimators.hpp"
 #include "util/timer.hpp"
 #include "walk/cover.hpp"
-#include "walk/hitting.hpp"
 
 namespace manywalks {
 namespace {
@@ -94,13 +93,15 @@ TEST(MiscWalk, LazyHittingIsSlower) {
   Rng rng(6);
   double plain_total = 0;
   double lazy_total = 0;
-  HitOptions lazy;
+  const std::vector<Vertex> from = {0};
+  const std::vector<Vertex> to = {10};
+  CoverOptions lazy;
   lazy.laziness = 0.5;
   for (int i = 0; i < 400; ++i) {
     plain_total +=
-        static_cast<double>(sample_hitting_time(g, 0, 10, rng).steps);
+        static_cast<double>(sample_hitting_time(g, from, to, rng).steps);
     lazy_total +=
-        static_cast<double>(sample_hitting_time(g, 0, 10, rng, lazy).steps);
+        static_cast<double>(sample_hitting_time(g, from, to, rng, lazy).steps);
   }
   EXPECT_GT(lazy_total, 1.5 * plain_total);
 }

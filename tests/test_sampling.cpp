@@ -6,7 +6,8 @@
 #include <set>
 
 #include "graph/generators.hpp"
-#include "walk/hitting.hpp"
+#include "theory/closed_forms.hpp"
+#include "walk/cover.hpp"
 
 namespace manywalks {
 namespace {
@@ -178,70 +179,78 @@ TEST(SpreadStarts, DisconnectedGraphStaysInSeedComponent) {
 
 TEST(HittingToSet, StartInsideSetIsZero) {
   const Graph g = make_cycle(6);
-  std::vector<bool> target(6, false);
-  target[2] = true;
+  const std::vector<Vertex> target = {2};
   const std::vector<Vertex> starts = {2};
   Rng rng(6);
-  const auto s = sample_multi_hitting_to_set(g, starts, target, rng);
-  EXPECT_TRUE(s.hit);
+  const auto s = sample_hitting_time(g, starts, target, rng);
+  EXPECT_TRUE(s.covered);
   EXPECT_EQ(s.steps, 0u);
 }
 
-TEST(HittingToSet, SingletonMatchesPlainHitting) {
+TEST(HittingToSet, SingletonMatchesExactHitting) {
   const Graph g = make_cycle(21);
-  std::vector<bool> target(21, false);
-  target[10] = true;
+  const std::vector<Vertex> target = {10};
   const std::vector<Vertex> starts = {0};
   double set_total = 0;
-  double plain_total = 0;
   Rng rng(7);
   for (int i = 0; i < 400; ++i) {
     set_total += static_cast<double>(
-        sample_multi_hitting_to_set(g, starts, target, rng).steps);
-    plain_total +=
-        static_cast<double>(sample_hitting_time(g, 0, 10, rng).steps);
+        sample_hitting_time(g, starts, target, rng).steps);
   }
-  EXPECT_NEAR(set_total / plain_total, 1.0, 0.25);
+  EXPECT_NEAR(set_total / 400.0 / cycle_hitting_time(21, 10), 1.0, 0.25);
+}
+
+TEST(HittingToSet, DuplicateTargetsCountOnce) {
+  const Graph g = make_cycle(21);
+  const std::vector<Vertex> once = {10};
+  const std::vector<Vertex> twice = {10, 10};
+  const std::vector<Vertex> starts = {0, 0};
+  Rng a(11);
+  Rng b(11);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(sample_hitting_time(g, starts, once, a).steps,
+              sample_hitting_time(g, starts, twice, b).steps);
+  }
 }
 
 TEST(HittingToSet, BiggerSetIsFaster) {
   const Graph g = make_cycle(41);
-  std::vector<bool> small(41, false);
-  small[20] = true;
-  std::vector<bool> large = small;
-  large[10] = large[30] = true;
+  const std::vector<Vertex> small = {20};
+  const std::vector<Vertex> large = {10, 20, 30};
   const std::vector<Vertex> starts = {0, 0};
   Rng rng(8);
   double small_total = 0;
   double large_total = 0;
   for (int i = 0; i < 300; ++i) {
     small_total += static_cast<double>(
-        sample_multi_hitting_to_set(g, starts, small, rng).steps);
+        sample_hitting_time(g, starts, small, rng).steps);
     large_total += static_cast<double>(
-        sample_multi_hitting_to_set(g, starts, large, rng).steps);
+        sample_hitting_time(g, starts, large, rng).steps);
   }
   EXPECT_LT(large_total, small_total);
 }
 
-TEST(HittingToSet, MaskSizeMismatchThrows) {
+TEST(HittingToSet, TargetOutOfRangeThrows) {
   const Graph g = make_cycle(5);
   const std::vector<Vertex> starts = {0};
-  std::vector<bool> wrong(4, false);
+  const std::vector<Vertex> outside = {1, 5};
+  const std::vector<Vertex> none;
   Rng rng(9);
-  EXPECT_THROW(sample_multi_hitting_to_set(g, starts, wrong, rng),
+  EXPECT_THROW(sample_hitting_time(g, starts, outside, rng),
+               std::invalid_argument);
+  EXPECT_THROW(sample_hitting_time(g, starts, none, rng),
                std::invalid_argument);
 }
 
 TEST(HittingToSet, CapCensors) {
   const Graph g = make_cycle(101);
-  std::vector<bool> target(101, false);
-  target[50] = true;
+  const std::vector<Vertex> target = {50};
   const std::vector<Vertex> starts = {0};
-  HitOptions options;
+  CoverOptions options;
   options.step_cap = 3;
   Rng rng(10);
-  const auto s = sample_multi_hitting_to_set(g, starts, target, rng, options);
-  EXPECT_FALSE(s.hit);
+  const auto s = sample_hitting_time(g, starts, target, rng, options);
+  EXPECT_FALSE(s.covered);
   EXPECT_EQ(s.steps, 3u);
 }
 

@@ -11,6 +11,8 @@
 #include "mc/estimators.hpp"
 #include "theory/closed_forms.hpp"
 #include "theory/exact.hpp"
+#include "walk/cover.hpp"
+#include "walk/engine.hpp"
 
 namespace manywalks {
 namespace {
@@ -112,6 +114,38 @@ INSTANTIATE_TEST_SUITE_P(
       return param_info.param.name;
     });
 
+/// First return time to v on the lane engine: one round off v, then the
+/// hitting time back to v from wherever that round landed.
+std::uint64_t lane_return_time(const Graph& g, Vertex v, Rng& rng) {
+  WalkEngine engine(g);
+  const std::vector<Vertex> at = {v};
+  engine.reset(at);
+  engine.run_for_steps(1, rng);
+  const std::vector<Vertex> landed = {engine.tokens()[0]};
+  return 1 + sample_hitting_time(g, landed, at, rng).steps;
+}
+
+TEST(StatisticalIdentities, ReturnTimeOnK2IsTwo) {
+  const Graph g = make_path(2);
+  Rng rng(23);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(lane_return_time(g, 0, rng), 2u);
+}
+
+TEST(StatisticalIdentities, KacReturnTimeOnStar) {
+  // E[return to v] = num_arcs / deg(v); star hub: 8/4 = 2, leaf: 8/1 = 8.
+  const Graph g = make_star(5);
+  Rng rng(24);
+  double hub_total = 0;
+  double leaf_total = 0;
+  const int trials = 20000;
+  for (int i = 0; i < trials; ++i) {
+    hub_total += static_cast<double>(lane_return_time(g, 0, rng));
+    leaf_total += static_cast<double>(lane_return_time(g, 1, rng));
+  }
+  EXPECT_NEAR(hub_total / trials, 2.0, 0.05);
+  EXPECT_NEAR(leaf_total / trials, 8.0, 0.4);
+}
+
 TEST(StatisticalIdentities, KacReturnTimeOnBarbell) {
   // E[return to v] = num_arcs / deg(v).
   const Graph g = make_barbell(9);
@@ -121,7 +155,7 @@ TEST(StatisticalIdentities, KacReturnTimeOnBarbell) {
   Rng rng(904);
   RunningStats stats;
   for (int i = 0; i < 30000; ++i) {
-    stats.add(static_cast<double>(sample_return_time(g, center, rng).steps));
+    stats.add(static_cast<double>(lane_return_time(g, center, rng)));
   }
   const auto ci = mean_confidence_interval(stats);
   EXPECT_NEAR(ci.mean, expected, 5.0 * ci.half_width);

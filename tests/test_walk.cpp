@@ -1,7 +1,6 @@
 #include "walk/cover.hpp"
-#include "walk/hitting.hpp"
+#include "walk/engine.hpp"
 #include "walk/visit_tracker.hpp"
-#include "walk/walker.hpp"
 
 #include <gtest/gtest.h>
 
@@ -38,55 +37,63 @@ TEST(VisitTrackerTest, ManyResetsStayCorrect) {
   }
 }
 
-TEST(StepWalk, StaysOnNeighbors) {
+/// Where each of `tokens` copies of a walker at `start` lands after one
+/// lane-engine round.
+std::vector<int> one_round_landings(const Graph& g, Vertex start, int tokens,
+                                    Rng& rng, double laziness = 0.0) {
+  WalkEngine engine(g);
+  const std::vector<Vertex> starts(static_cast<std::size_t>(tokens), start);
+  engine.reset(starts);
+  engine.run_for_steps(1, rng, laziness);
+  std::vector<int> counts(g.num_vertices(), 0);
+  for (const Vertex v : engine.tokens()) ++counts[v];
+  return counts;
+}
+
+TEST(LaneStep, StaysOnNeighbors) {
   const Graph g = make_cycle(6);
   Rng rng(1);
-  Vertex v = 0;
+  WalkEngine engine(g);
+  const std::vector<Vertex> starts = {0};
+  engine.reset(starts);
   for (int i = 0; i < 1000; ++i) {
-    const Vertex u = step_walk(g, v, rng);
-    EXPECT_TRUE(g.has_edge(v, u));
-    v = u;
+    const Vertex v = engine.tokens()[0];
+    engine.run_for_steps(1, rng);
+    EXPECT_TRUE(g.has_edge(v, engine.tokens()[0]));
   }
 }
 
-TEST(StepWalk, UniformOverNeighbors) {
+TEST(LaneStep, UniformOverNeighbors) {
   const Graph g = make_star(5);  // hub 0 with 4 leaves
   Rng rng(2);
-  std::vector<int> counts(5, 0);
   const int trials = 40000;
-  for (int i = 0; i < trials; ++i) ++counts[step_walk(g, 0, rng)];
+  const auto counts = one_round_landings(g, 0, trials, rng);
   EXPECT_EQ(counts[0], 0);
   for (Vertex leaf = 1; leaf < 5; ++leaf) {
     EXPECT_NEAR(static_cast<double>(counts[leaf]) / trials, 0.25, 0.02);
   }
 }
 
-TEST(StepWalk, SelfLoopProbability) {
+TEST(LaneStep, SelfLoopProbability) {
   const Graph g = make_complete(4, /*with_self_loops=*/true);
   Rng rng(3);
-  int stays = 0;
   const int trials = 40000;
-  for (int i = 0; i < trials; ++i) {
-    if (step_walk(g, 0, rng) == 0) ++stays;
-  }
-  EXPECT_NEAR(static_cast<double>(stays) / trials, 0.25, 0.02);
+  const auto counts = one_round_landings(g, 0, trials, rng);
+  EXPECT_NEAR(static_cast<double>(counts[0]) / trials, 0.25, 0.02);
 }
 
-TEST(StepWalkLazy, ZeroLazinessNeverStays) {
+TEST(LaneStepLazy, ZeroLazinessNeverStays) {
   const Graph g = make_cycle(5);
   Rng rng(4);
-  for (int i = 0; i < 200; ++i) EXPECT_NE(step_walk_lazy(g, 0, rng, 0.0), 0u);
+  EXPECT_EQ(one_round_landings(g, 0, 200, rng, 0.0)[0], 0);
 }
 
-TEST(StepWalkLazy, LazinessFrequency) {
+TEST(LaneStepLazy, LazinessFrequency) {
   const Graph g = make_cycle(5);
   Rng rng(5);
-  int stays = 0;
   const int trials = 40000;
-  for (int i = 0; i < trials; ++i) {
-    if (step_walk_lazy(g, 0, rng, 0.3) == 0) ++stays;
-  }
-  EXPECT_NEAR(static_cast<double>(stays) / trials, 0.3, 0.02);
+  const auto counts = one_round_landings(g, 0, trials, rng, 0.3);
+  EXPECT_NEAR(static_cast<double>(counts[0]) / trials, 0.3, 0.02);
 }
 
 TEST(SampleCoverTime, TwoVerticesAlwaysOneStep) {
@@ -237,37 +244,43 @@ TEST(VisitCounts, LongRunApproachesStationary) {
 
 TEST(SampleHittingTime, SameVertexIsZero) {
   const Graph g = make_cycle(5);
+  const std::vector<Vertex> at = {2};
   Rng rng(18);
-  const auto s = sample_hitting_time(g, 2, 2, rng);
-  EXPECT_TRUE(s.hit);
+  const auto s = sample_hitting_time(g, at, at, rng);
+  EXPECT_TRUE(s.covered);
   EXPECT_EQ(s.steps, 0u);
 }
 
 TEST(SampleHittingTime, NeighborOnK2IsOneStep) {
   const Graph g = make_path(2);
+  const std::vector<Vertex> from = {0};
+  const std::vector<Vertex> to = {1};
   Rng rng(19);
   for (int i = 0; i < 20; ++i) {
-    const auto s = sample_hitting_time(g, 0, 1, rng);
+    const auto s = sample_hitting_time(g, from, to, rng);
     EXPECT_EQ(s.steps, 1u);
   }
 }
 
 TEST(SampleHittingTime, CapCensors) {
   const Graph g = make_cycle(101);
+  const std::vector<Vertex> from = {0};
+  const std::vector<Vertex> to = {50};
   Rng rng(20);
-  HitOptions options;
+  CoverOptions options;
   options.step_cap = 5;
-  const auto s = sample_hitting_time(g, 0, 50, rng, options);
-  EXPECT_FALSE(s.hit);
+  const auto s = sample_hitting_time(g, from, to, rng, options);
+  EXPECT_FALSE(s.covered);
   EXPECT_EQ(s.steps, 5u);
 }
 
 TEST(SampleMultiHittingTime, TokenOnTargetIsZero) {
   const Graph g = make_cycle(6);
   const std::vector<Vertex> starts = {0, 3};
+  const std::vector<Vertex> target = {3};
   Rng rng(21);
-  const auto s = sample_multi_hitting_time(g, starts, 3, rng);
-  EXPECT_TRUE(s.hit);
+  const auto s = sample_hitting_time(g, starts, target, rng);
+  EXPECT_TRUE(s.covered);
   EXPECT_EQ(s.steps, 0u);
 }
 
@@ -278,36 +291,14 @@ TEST(SampleMultiHittingTime, MoreTokensHitFaster) {
   double many_total = 0;
   const std::vector<Vertex> one = {0};
   const std::vector<Vertex> many = {0, 0, 0, 0, 0, 0, 0, 0};
+  const std::vector<Vertex> target = {20};
   for (int i = 0; i < 150; ++i) {
     one_total +=
-        static_cast<double>(sample_multi_hitting_time(g, one, 20, rng).steps);
+        static_cast<double>(sample_hitting_time(g, one, target, rng).steps);
     many_total +=
-        static_cast<double>(sample_multi_hitting_time(g, many, 20, rng).steps);
+        static_cast<double>(sample_hitting_time(g, many, target, rng).steps);
   }
   EXPECT_LT(many_total, one_total);
-}
-
-TEST(SampleReturnTime, K2AlwaysTwo) {
-  const Graph g = make_path(2);
-  Rng rng(23);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(sample_return_time(g, 0, rng).steps, 2u);
-  }
-}
-
-TEST(SampleReturnTime, MeanMatchesKacFormula) {
-  // E[return to v] = num_arcs / deg(v); star hub: 8/4 = 2, leaf: 8/1 = 8.
-  const Graph g = make_star(5);
-  Rng rng(24);
-  double hub_total = 0;
-  double leaf_total = 0;
-  const int trials = 20000;
-  for (int i = 0; i < trials; ++i) {
-    hub_total += static_cast<double>(sample_return_time(g, 0, rng).steps);
-    leaf_total += static_cast<double>(sample_return_time(g, 1, rng).steps);
-  }
-  EXPECT_NEAR(hub_total / trials, 2.0, 0.05);
-  EXPECT_NEAR(leaf_total / trials, 8.0, 0.4);
 }
 
 }  // namespace
