@@ -2,6 +2,7 @@
 // Margulis expander).
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "util/check.hpp"
@@ -193,7 +194,11 @@ Graph make_margulis_expander(Vertex side) {
   const auto n = static_cast<Vertex>(n64);
   const std::uint64_t m = side;
 
-  GraphBuilder b(n);
+  // Every vertex has exactly 8 ports, so row v of the CSR is
+  // targets[8v, 8v + 8); loops and parallel edges are kept as ports.
+  constexpr std::uint64_t kPorts = 8;
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1);
+  ArcVector targets(n64 * kPorts);
   const auto idx = [m](std::uint64_t x, std::uint64_t y) {
     return static_cast<Vertex>((x % m) * m + (y % m));
   };
@@ -202,20 +207,21 @@ Graph make_margulis_expander(Vertex side) {
       const Vertex v = idx(x, y);
       // The four Gabber–Galil maps and their inverses, one arc per port.
       // Additions stay in uint64 range; subtractions go through +k*m.
-      b.add_arc(v, idx(x + 2 * y, y));
-      b.add_arc(v, idx(x + 2 * (m - y), y));          // x - 2y
-      b.add_arc(v, idx(x + 2 * y + 1, y));
-      b.add_arc(v, idx(x + 2 * (m - y) + (m - 1), y));  // x - 2y - 1
-      b.add_arc(v, idx(x, y + 2 * x));
-      b.add_arc(v, idx(x, y + 2 * (m - x)));          // y - 2x
-      b.add_arc(v, idx(x, y + 2 * x + 1));
-      b.add_arc(v, idx(x, y + 2 * (m - x) + (m - 1)));  // y - 2x - 1
+      Vertex* const row = targets.data() + v * kPorts;
+      row[0] = idx(x + 2 * y, y);
+      row[1] = idx(x + 2 * (m - y), y);            // x - 2y
+      row[2] = idx(x + 2 * y + 1, y);
+      row[3] = idx(x + 2 * (m - y) + (m - 1), y);  // x - 2y - 1
+      row[4] = idx(x, y + 2 * x);
+      row[5] = idx(x, y + 2 * (m - x));            // y - 2x
+      row[6] = idx(x, y + 2 * x + 1);
+      row[7] = idx(x, y + 2 * (m - x) + (m - 1));  // y - 2x - 1
+      std::sort(row, row + kPorts);
+      offsets[static_cast<std::size_t>(v) + 1] = (v + 1) * kPorts;
     }
   }
-  GraphBuilder::BuildOptions options;
-  options.duplicates = GraphBuilder::DuplicatePolicy::kKeep;
-  options.loops = GraphBuilder::LoopPolicy::kKeep;
-  return b.build(options);
+  return Graph::from_csr(std::move(offsets), std::move(targets),
+                         /*validate=*/true);
 }
 
 }  // namespace manywalks

@@ -86,7 +86,9 @@ Graph make_lollipop(Vertex n);
 /// (x, y±2x), (x, y±(2x+1)) (mod side). All non-trivial eigenvalues of the
 /// adjacency matrix satisfy |λ| <= 5·sqrt(2) < 8, so this is an (n, 8, λ)
 /// expander for every side. Contains self loops and parallel edges by
-/// construction; every vertex has degree exactly 8.
+/// construction; every vertex has degree exactly 8. The 8 ports of v are
+/// written straight into CSR row [8v, 8v + 8) and sorted, so the build
+/// takes the graph's own O(n·8) words plus from_csr's validation scratch.
 Graph make_margulis_expander(Vertex side);
 
 // ---------------------------------------------------------------------------
@@ -105,7 +107,11 @@ Graph make_erdos_renyi_connected(Vertex n, double p, Rng& rng,
 
 /// Random d-regular simple graph via the configuration model with
 /// restarts (rejecting pairings that create loops/multi-edges). Requires
-/// n*d even, d < n. Expected O(m) per attempt, O(1) attempts for fixed d.
+/// n*d even, d < n and n*d < 2^32 (stub indices are 32-bit draws).
+/// Expected O(n·d^2) per attempt (each duplicate test scans a partly
+/// filled row), O(1) attempts for fixed d. Pairs are written straight into
+/// the CSR rows [v·d, v·d + d), with no hash set: O(n·d) words for the
+/// rows plus the stub pool.
 Graph make_random_regular(Vertex n, Vertex degree, Rng& rng,
                           unsigned max_attempts = 1000);
 

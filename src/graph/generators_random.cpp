@@ -1,7 +1,7 @@
 // Random graph families: Erdős–Rényi, random regular (Steger–Wormald
 // pairing), random geometric.
+#include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -9,16 +9,6 @@
 #include "util/check.hpp"
 
 namespace manywalks {
-
-namespace {
-
-/// Packs an undirected vertex pair (u < v) into a 64-bit key.
-std::uint64_t edge_key(Vertex u, Vertex v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | v;
-}
-
-}  // namespace
 
 Graph make_erdos_renyi(Vertex n, double p, Rng& rng) {
   MW_REQUIRE(n >= 2, "G(n,p) needs n >= 2");
@@ -97,19 +87,29 @@ Graph make_random_regular(Vertex n, Vertex degree, Rng& rng,
   MW_REQUIRE((static_cast<std::uint64_t>(n) * degree) % 2 == 0,
              "n*d must be even");
   const std::uint64_t num_stubs = static_cast<std::uint64_t>(n) * degree;
+  // Stub indices are drawn with the 32-bit uniform_below.
+  MW_REQUIRE(num_stubs < (std::uint64_t{1} << 32),
+             "random regular graph needs n*d < 2^32, got n="
+                 << n << ", d=" << degree);
 
+  // Row v of the CSR is targets[v*d, v*d + d); fill[v] counts its entries
+  // so far. The pairing's duplicate test scans u's partly filled row.
+  ArcVector targets(num_stubs);
+  std::vector<Vertex> fill(n);
+  std::vector<Vertex> stubs;
+  stubs.reserve(num_stubs);
+  const auto row = [&](Vertex v) {
+    return targets.data() + std::uint64_t{v} * degree;
+  };
   for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
     // Steger–Wormald pairing: repeatedly match two random free stubs,
     // rejecting loops and parallel edges. For d = O(n^(1/3)) this succeeds
     // with probability 1 - o(1) and is asymptotically uniform.
-    std::vector<Vertex> stubs;
-    stubs.reserve(num_stubs);
+    stubs.clear();
     for (Vertex v = 0; v < n; ++v) {
       for (Vertex i = 0; i < degree; ++i) stubs.push_back(v);
     }
-    std::unordered_set<std::uint64_t> edges;
-    edges.reserve(num_stubs);
-    GraphBuilder b(n);
+    std::fill(fill.begin(), fill.end(), Vertex{0});
 
     std::uint64_t consecutive_failures = 0;
     bool stuck = false;
@@ -120,7 +120,8 @@ Graph make_random_regular(Vertex n, Vertex degree, Rng& rng,
       while (j == i) j = rng.uniform_below(size32);
       const Vertex u = stubs[i];
       const Vertex v = stubs[j];
-      if (u == v || edges.contains(edge_key(u, v))) {
+      Vertex* const filled = row(u) + fill[u];
+      if (u == v || std::find(row(u), filled, v) != filled) {
         // As the pool shrinks, valid pairs may vanish; bail out and restart
         // rather than looping forever.
         if (++consecutive_failures > 64 + 16 * stubs.size()) {
@@ -130,8 +131,8 @@ Graph make_random_regular(Vertex n, Vertex degree, Rng& rng,
         continue;
       }
       consecutive_failures = 0;
-      edges.insert(edge_key(u, v));
-      b.add_edge(u, v);
+      row(u)[fill[u]++] = v;
+      row(v)[fill[v]++] = u;
       // Remove both stubs by swap-with-back, larger index first so the
       // smaller index is still valid after the first pop.
       const std::uint32_t hi = std::max(i, j);
@@ -141,7 +142,26 @@ Graph make_random_regular(Vertex n, Vertex degree, Rng& rng,
       stubs[lo] = stubs.back();
       stubs.pop_back();
     }
-    if (!stuck) return b.build();
+    if (stuck) continue;
+
+    // Release the pairing's scratch before from_csr allocates its own.
+    stubs = std::vector<Vertex>();
+    fill = std::vector<Vertex>();
+    std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1);
+    for (Vertex v = 0; v < n; ++v) {
+      Vertex* const begin = row(v);
+      std::sort(begin, begin + degree);
+      // The pairing never accepts a loop or a repeated pair; check it.
+      for (Vertex i = 0; i < degree; ++i) {
+        MW_REQUIRE(begin[i] != v && (i == 0 || begin[i - 1] != begin[i]),
+                   "random regular pairing left a loop or parallel edge at "
+                       << v);
+      }
+      offsets[static_cast<std::size_t>(v) + 1] =
+          (std::uint64_t{v} + 1) * degree;
+    }
+    return Graph::from_csr(std::move(offsets), std::move(targets),
+                           /*validate=*/true);
   }
   MW_REQUIRE(false, "random regular pairing failed after "
                         << max_attempts << " attempts (n=" << n

@@ -1,11 +1,36 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <new>
 #include <sstream>
 
 #include "util/check.hpp"
 
 namespace manywalks {
+
+namespace detail {
+
+// Over-allocates one line from plain ::operator new rather than calling
+// the aligned overload: glibc serves aligned requests with memalign, whose
+// split-off fragments kept the heap growing across rebuilds. ::operator
+// new returns at least 16-byte aligned memory, so the aligned start lies
+// 16..64 bytes into the block, with room to keep the block's own address
+// just below it.
+void* allocate_line_aligned(std::size_t bytes) {
+  constexpr std::uintptr_t kLine = 64;
+  void* const block = ::operator new(bytes + kLine);
+  const std::uintptr_t start =
+      (reinterpret_cast<std::uintptr_t>(block) + kLine) & ~(kLine - 1);
+  reinterpret_cast<void**>(start)[-1] = block;
+  return reinterpret_cast<void*>(start);
+}
+
+void free_line_aligned(void* p) noexcept {
+  ::operator delete(static_cast<void**>(p)[-1]);
+}
+
+}  // namespace detail
 
 bool Graph::has_edge(Vertex u, Vertex v) const {
   MW_REQUIRE(u < num_vertices() && v < num_vertices(),
@@ -48,8 +73,55 @@ bool Graph::is_simple() const {
   return true;
 }
 
-Graph Graph::from_csr(std::vector<std::uint64_t> offsets,
-                      std::vector<Vertex> targets, bool validate) {
+namespace {
+
+/// A vertex w whose arc multiplicities with u differ. Called only once u's
+/// in-degree is known to differ from its out-degree, so such a w exists; an
+/// error path, so a plain O(n log deg) search is fine.
+Vertex asymmetric_partner(const Graph& g, Vertex u) {
+  Vertex w = 0;
+  while (g.edge_multiplicity(u, w) == g.edge_multiplicity(w, u)) ++w;
+  return w;
+}
+
+/// Symmetry: the arc multiset equals its transpose. `cursor` holds every
+/// vertex's in-degree. Equal in- and out-degrees bound each transposed row
+/// to its CSR row, so the scatter stays in range; walking the sources in
+/// order leaves each transposed row sorted, and one streaming compare with
+/// `targets` then checks multiplicity(u->v) == multiplicity(v->u) for all
+/// pairs at once.
+void check_symmetric(const Graph& g, std::vector<std::uint64_t> cursor) {
+  const Vertex n = g.num_vertices();
+  const auto offsets = g.offsets();
+  const auto targets = g.targets();
+  for (Vertex u = 0; u < n; ++u) {
+    MW_REQUIRE(cursor[u] == offsets[u + 1] - offsets[u],
+               "arc multiset not symmetric between "
+                   << u << " and " << asymmetric_partner(g, u));
+    cursor[u] = offsets[u];
+  }
+  std::vector<Vertex> transposed(targets.size());
+  for (Vertex v = 0; v < n; ++v) {
+    for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      transposed[cursor[targets[i]]++] = v;
+    }
+  }
+  const auto [arc, back] =
+      std::mismatch(targets.begin(), targets.end(), transposed.begin());
+  if (arc == targets.end()) return;
+  // Both rows of the first mismatch are sorted and agree before it, so the
+  // smaller of the two differing entries occurs more often in one of them.
+  const auto position = static_cast<std::uint64_t>(arc - targets.begin());
+  const auto u = std::upper_bound(offsets.begin(), offsets.end(), position) -
+                 offsets.begin() - 1;
+  MW_REQUIRE(false, "arc multiset not symmetric between "
+                        << u << " and " << std::min(*arc, *back));
+}
+
+}  // namespace
+
+Graph Graph::from_csr(std::vector<std::uint64_t> offsets, ArcVector targets,
+                      bool validate) {
   MW_REQUIRE(!offsets.empty(), "offsets must have at least one entry");
   MW_REQUIRE(offsets.front() == 0, "offsets must start at 0");
   MW_REQUIRE(offsets.back() == targets.size(),
@@ -61,6 +133,7 @@ Graph Graph::from_csr(std::vector<std::uint64_t> offsets,
   std::uint64_t loops = 0;
   Vertex min_deg = n > 0 ? kInvalidVertex : 0;
   Vertex max_deg = 0;
+  std::vector<std::uint64_t> in_degree(validate ? n : 0, 0);
   for (Vertex v = 0; v < n; ++v) {
     MW_REQUIRE(g.offsets_[v] <= g.offsets_[v + 1], "offsets not monotone");
     const auto row = g.neighbors(v);
@@ -68,8 +141,11 @@ Graph Graph::from_csr(std::vector<std::uint64_t> offsets,
     max_deg = std::max(max_deg, static_cast<Vertex>(row.size()));
     for (std::size_t i = 0; i < row.size(); ++i) {
       MW_REQUIRE(row[i] < n, "target out of range");
-      if (validate && i > 0) {
-        MW_REQUIRE(row[i - 1] <= row[i], "row " << v << " not sorted");
+      if (validate) {
+        if (i > 0) {
+          MW_REQUIRE(row[i - 1] <= row[i], "row " << v << " not sorted");
+        }
+        ++in_degree[row[i]];
       }
       if (row[i] == v) ++loops;
     }
@@ -77,25 +153,7 @@ Graph Graph::from_csr(std::vector<std::uint64_t> offsets,
   g.num_loops_ = loops;
   g.min_degree_ = min_deg;
   g.max_degree_ = max_deg;
-  if (validate) {
-    // Symmetry: multiplicity(u->v) == multiplicity(v->u) for all pairs.
-    for (Vertex v = 0; v < n; ++v) {
-      const auto row = g.neighbors(v);
-      std::size_t i = 0;
-      while (i < row.size()) {
-        std::size_t j = i;
-        while (j < row.size() && row[j] == row[i]) ++j;
-        const Vertex u = row[i];
-        if (u != v) {
-          const auto other = g.neighbors(u);
-          const auto [lo, hi] = std::equal_range(other.begin(), other.end(), v);
-          MW_REQUIRE(static_cast<std::size_t>(hi - lo) == j - i,
-                     "arc multiset not symmetric between " << v << " and " << u);
-        }
-        i = j;
-      }
-    }
-  }
+  if (validate) check_symmetric(g, std::move(in_degree));
   return g;
 }
 
@@ -112,13 +170,6 @@ GraphBuilder& GraphBuilder::add_edge(Vertex u, Vertex v) {
   return *this;
 }
 
-GraphBuilder& GraphBuilder::add_arc(Vertex u, Vertex v) {
-  MW_REQUIRE(u < num_vertices_ && v < num_vertices_,
-             "add_arc(" << u << "," << v << ") out of range");
-  arcs_.emplace_back(u, v);
-  return *this;
-}
-
 Graph GraphBuilder::build(const BuildOptions& options) {
   const Vertex n = num_vertices_;
 
@@ -132,7 +183,7 @@ Graph GraphBuilder::build(const BuildOptions& options) {
   for (Vertex v = 0; v < n; ++v) {
     offsets[static_cast<std::size_t>(v) + 1] += offsets[v];
   }
-  std::vector<Vertex> targets(arcs_.size());
+  ArcVector targets(arcs_.size());
   // Scatter with offsets[u] as row u's cursor; afterwards offsets[u] holds
   // row u's end, so shifting the array by one restores the row starts.
   for (const auto& [u, v] : arcs_) targets[offsets[u]++] = v;
@@ -168,7 +219,7 @@ Graph GraphBuilder::build(const BuildOptions& options) {
   offsets[n] = kept;
   targets.resize(kept);
 
-  // from_csr validates symmetry, which catches asymmetric add_arc usage.
+  // add_edge keeps the arcs symmetric; from_csr still validates them.
   return Graph::from_csr(std::move(offsets), std::move(targets),
                          /*validate=*/true);
 }

@@ -76,7 +76,7 @@ Graph to_graph(const MappedGraph& mapped, bool validate) {
   const auto targets = mapped.targets();
   return Graph::from_csr(
       std::vector<std::uint64_t>(offsets.begin(), offsets.end()),
-      std::vector<Vertex>(targets.begin(), targets.end()), validate);
+      ArcVector(targets.begin(), targets.end()), validate);
 }
 
 }  // namespace manywalks

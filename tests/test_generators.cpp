@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <tuple>
+#include <utility>
 
 #include "graph/properties.hpp"
 
@@ -192,6 +195,18 @@ TEST(MargulisGen, ExactlyEightRegular) {
   }
 }
 
+TEST(MargulisGen, ArraysPassFromCsrValidation) {
+  // The Margulis multigraph (loops and parallel ports) is symmetric: its
+  // own CSR arrays pass from_csr's validation when fed back in.
+  const Graph g = make_margulis_expander(6);
+  EXPECT_GT(g.num_loops(), 0u);
+  EXPECT_FALSE(g.is_simple());
+  const Graph copy = Graph::from_csr(
+      {g.offsets().begin(), g.offsets().end()},
+      {g.targets().begin(), g.targets().end()}, /*validate=*/true);
+  EXPECT_EQ(copy.num_arcs(), g.num_arcs());
+}
+
 TEST(ErdosRenyiGen, EdgeCountNearExpectation) {
   Rng rng(123);
   const Vertex n = 400;
@@ -263,10 +278,88 @@ TEST(RandomRegularGen, RejectsOddProduct) {
   EXPECT_THROW(make_random_regular(5, 3, rng), std::invalid_argument);
 }
 
+TEST(RandomRegularGen, RejectsStubCountBeyond32Bits) {
+  // n*d = 2^33 stubs cannot be drawn with 32-bit indices; the check comes
+  // before any allocation, so this returns at once.
+  Rng rng(1);
+  EXPECT_THROW(make_random_regular(1u << 30, 8, rng), std::invalid_argument);
+  EXPECT_THROW(make_random_regular(1u << 31, 2, rng), std::invalid_argument);
+}
+
 TEST(RandomRegularGen, TypicallyConnected) {
   Rng rng(41);
   const Graph g = make_random_regular(200, 4, rng);
   EXPECT_TRUE(is_connected(g));  // w.h.p. for d >= 3
+}
+
+// Golden digests of the random-regular and Margulis CSR arrays, recorded
+// on the hash-set/GraphBuilder implementation: they pin the pairing's RNG
+// stream (every uniform_below draw, reject and restart), the row order and
+// the port layout, so any rewrite of the generators must reproduce them.
+std::uint64_t csr_digest(const Graph& g) {
+  std::uint64_t h = mix64(g.num_vertices());
+  for (const std::uint64_t offset : g.offsets()) h = mix64(h ^ offset);
+  for (const Vertex target : g.targets()) h = mix64(h ^ target);
+  return h;
+}
+
+struct RegularGolden {
+  Vertex n;
+  Vertex d;
+  std::uint64_t seed;
+  std::uint64_t digest;     // csr_digest of the graph
+  std::uint64_t next_draw;  // rng.next() after generation
+};
+
+TEST(RandomRegularGen, GoldenDigests) {
+  const RegularGolden goldens[] = {
+      // Dense cases whose pairing restarts (see StuckRestartTaken).
+      {10, 8, 2, 0x30a65e87d5b8d2feULL, 0x1ac8982b661a8223ULL},
+      {16, 13, 1, 0x1e180a6e729a9e5dULL, 0x395d88319fa9922bULL},
+      {60, 3, 31, 0xa99a7170d3cf0ad0ULL, 0xa13a96b0fdbe4fcfULL},
+      {1000, 4, 7, 0xddd063dd494c7d4aULL, 0x5144c3f2982b0619ULL},
+      {4096, 8, 1, 0x18fd4f6862d4e277ULL, 0x0b21909ddcc4cf4eULL},
+      {5001, 6, 12345, 0x9dbeaff767cadb29ULL, 0xa93138015e43531cULL},
+      {65536, 8, 99, 0x49919e3e0fecd977ULL, 0xb9a97e4a840f447fULL},
+  };
+  for (const RegularGolden& golden : goldens) {
+    Rng rng(golden.seed);
+    const Graph g = make_random_regular(golden.n, golden.d, rng);
+    EXPECT_TRUE(g.is_regular() && g.is_simple());
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(g.targets().data()) % 64, 0u);
+    EXPECT_EQ(csr_digest(g), golden.digest)
+        << "n=" << golden.n << " d=" << golden.d << " seed=" << golden.seed
+        << std::hex << " digest=0x" << csr_digest(g);
+    EXPECT_EQ(rng.next(), golden.next_draw)
+        << "n=" << golden.n << " d=" << golden.d << " seed=" << golden.seed;
+  }
+}
+
+TEST(RandomRegularGen, StuckRestartTaken) {
+  // The dense golden cases do take the stuck-pool restart: one attempt is
+  // not enough for them.
+  for (const auto& [n, d, seed] :
+       {std::tuple<Vertex, Vertex, std::uint64_t>{10, 8, 2}, {16, 13, 1}}) {
+    Rng rng(seed);
+    EXPECT_THROW(make_random_regular(n, d, rng, /*max_attempts=*/1),
+                 std::invalid_argument)
+        << "n=" << n << " d=" << d;
+  }
+}
+
+TEST(MargulisGen, GoldenDigests) {
+  const std::pair<Vertex, std::uint64_t> goldens[] = {
+      {2, 0xdc98856828d3efb5ULL},
+      {3, 0xc8d5271a2341d007ULL},
+      {64, 0x86480c4b8c07d836ULL},
+      {512, 0x64c2f2ecd2ea02c9ULL},
+  };
+  for (const auto& [side, digest] : goldens) {
+    const Graph g = make_margulis_expander(side);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(g.targets().data()) % 64, 0u);
+    EXPECT_EQ(csr_digest(g), digest)
+        << "side=" << side << std::hex << " digest=0x" << csr_digest(g);
+  }
 }
 
 TEST(RandomGeometricGen, RadiusControlsEdges) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace manywalks {
 namespace {
@@ -108,23 +112,6 @@ TEST(GraphBuilderTest, KeepsParallelEdges) {
   EXPECT_FALSE(g.is_simple());
 }
 
-TEST(GraphBuilderTest, AddArcMustBeSymmetric) {
-  GraphBuilder b(3);
-  b.add_arc(0, 1);  // no matching (1, 0) arc
-  GraphBuilder::BuildOptions options;
-  options.duplicates = GraphBuilder::DuplicatePolicy::kKeep;
-  EXPECT_THROW(b.build(options), std::invalid_argument);
-}
-
-TEST(GraphBuilderTest, SymmetricArcsBuild) {
-  GraphBuilder b(3);
-  b.add_arc(0, 1).add_arc(1, 0).add_arc(1, 2).add_arc(2, 1);
-  GraphBuilder::BuildOptions options;
-  options.duplicates = GraphBuilder::DuplicatePolicy::kKeep;
-  const Graph g = b.build(options);
-  EXPECT_EQ(g.num_edges(), 2u);
-}
-
 TEST(GraphFromCsr, ValidatesOffsets) {
   EXPECT_THROW(Graph::from_csr({1, 2}, {0, 0}), std::invalid_argument);
   EXPECT_THROW(Graph::from_csr({0, 3}, {0}), std::invalid_argument);
@@ -145,6 +132,68 @@ TEST(GraphFromCsr, AcceptsValidCsr) {
   const Graph g = Graph::from_csr({0, 1, 2}, {1, 0}, true);
   EXPECT_EQ(g.num_vertices(), 2u);
   EXPECT_EQ(g.num_edges(), 1u);
+}
+
+// Asymmetric arc multisets, some with every in-degree equal to its
+// out-degree: each must be rejected, and the message must name an
+// offending vertex pair.
+void expect_asymmetric(std::vector<std::uint64_t> offsets,
+                       ArcVector targets, const std::string& pair) {
+  try {
+    Graph::from_csr(std::move(offsets), std::move(targets), true);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("not symmetric between " + pair), std::string::npos)
+        << what;
+  }
+}
+
+TEST(GraphFromCsr, RejectsDirectedThreeCycle) {
+  // 0->1->2->0: every in-degree equals every out-degree (1).
+  expect_asymmetric({0, 1, 2, 3}, {1, 2, 0}, "0 and 1");
+}
+
+TEST(GraphFromCsr, RejectsMultiplicityMismatch) {
+  // 0:{1,1} against 1:{0,2}, 2:{1}.
+  expect_asymmetric({0, 2, 4, 5}, {1, 1, 0, 2, 1}, "0 and 1");
+  // A symmetric triangle plus the directed cycle 0->1->2->0: all degrees
+  // and in-degrees are 3, yet each pair's multiplicities are 2 and 1.
+  expect_asymmetric({0, 3, 6, 9}, {1, 1, 2, 0, 2, 2, 0, 0, 1}, "0 and 1");
+}
+
+TEST(GraphFromCsr, RejectsOutOfRangeTargetBeforeSymmetry) {
+  try {
+    Graph::from_csr({0, 1, 2}, {1, 5}, true);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("target out of range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GraphFromCsr, AcceptsLoopsAndMultigraphs) {
+  const Graph loops = Graph::from_csr({0, 1, 2}, {0, 1}, true);
+  EXPECT_EQ(loops.num_loops(), 2u);
+  EXPECT_EQ(loops.num_edges(), 2u);
+  // A loop, a parallel pair and a plain edge together.
+  const Graph multi =
+      Graph::from_csr({0, 3, 6, 7}, {0, 1, 1, 0, 0, 2, 1}, true);
+  EXPECT_EQ(multi.num_loops(), 1u);
+  EXPECT_EQ(multi.edge_multiplicity(0, 1), 2u);
+}
+
+TEST(GraphFromCsr, TargetsStartOnACacheLine) {
+  // The regular walk kernel prefetches a row's first cache line; aligned
+  // targets keep every 8-arc row inside one line.
+  const auto aligned = [](const Graph& g) {
+    return reinterpret_cast<std::uintptr_t>(g.targets().data()) % 64 == 0;
+  };
+  GraphBuilder b(3);
+  b.add_edge(0, 1).add_edge(1, 2);
+  EXPECT_TRUE(aligned(b.build()));
+  EXPECT_TRUE(aligned(Graph::from_csr({0, 1, 2}, {1, 0}, true)));
 }
 
 TEST(GraphAccessors, NeighborIndexing) {
