@@ -23,6 +23,11 @@ namespace manywalks::cli {
 
 namespace {
 
+/// The most pool workers --threads may ask for: far past any core count
+/// the experiments can use, and small enough that a typo cannot start
+/// thousands of threads.
+constexpr unsigned kMaxThreads = 1024;
+
 bool has_extra(const ExperimentInfo& info, ExtraParam extra) {
   return std::find(info.extras.begin(), info.extras.end(), extra) !=
          info.extras.end();
@@ -136,8 +141,8 @@ int run_experiment_main(std::string_view name, int argc, char** argv) {
       .add_option("trials", &params.trials, "Monte-Carlo trials (0 = preset)")
       .add_option("seed", &params.seed, "master seed")
       .add_option("threads", &params.threads,
-                  "pool workers; the calling thread also runs trials "
-                  "(0 = hardware)")
+                  "pool workers, at most " + std::to_string(kMaxThreads) +
+                      "; the calling thread also runs trials (0 = hardware)")
       .add_option("format", &format_text, "output format: text, json, csv")
       .add_option("out", &sink.out_dir,
                   "directory for json/csv files (default: stdout)")
@@ -208,10 +213,14 @@ int run_experiment_main(std::string_view name, int argc, char** argv) {
     }
   }
 
+  if (params.threads > kMaxThreads) {
+    std::cerr << info.name << ": --threads " << params.threads
+              << " exceeds the limit of " << kMaxThreads << " workers\n";
+    return 1;
+  }
   // THE place "--threads 0 = hardware" is resolved: runners and sinks
   // downstream always see the real worker count, never the 0 sentinel.
   if (params.threads == 0) params.threads = default_thread_count();
-  ThreadPool pool(params.threads);
 
   // Observability is strictly additive: with none of --progress /
   // --trace-out / --metrics given, no observer is installed and every
@@ -231,6 +240,7 @@ int run_experiment_main(std::string_view name, int argc, char** argv) {
   const double cpu_start = obs::process_cpu_seconds();
   ExperimentResult result;
   try {
+    ThreadPool pool(params.threads);
     {
       std::optional<obs::ScopedObserver> scoped;
       if (observe) scoped.emplace(&run_observer);

@@ -34,16 +34,17 @@ inline std::vector<unsigned> geometric_ks(std::uint64_t k_limit,
   return ks;
 }
 
-/// Guard on --kmax/--k style walk counts: a sweep point allocates 4k bytes
-/// of tokens and does k token-steps per round, so reject absurd values up
-/// front instead of grinding into an OOM (2^20 walks is already far past
-/// every regime the paper discusses).
-inline std::uint64_t checked_walk_count(const char* name,
+/// Guard on the walk count `flag` (--kmax, --k, --ck) resolves to: a sweep
+/// point allocates 4k bytes of tokens and does k token-steps per round, so
+/// reject absurd values up front instead of grinding into an OOM (2^20
+/// walks is already far past every regime the paper discusses) — and
+/// before any narrowing cast to unsigned can wrap them.
+inline std::uint64_t checked_walk_count(const char* name, const char* flag,
                                         std::uint64_t k_limit) {
   constexpr std::uint64_t kMaxWalks = 1ULL << 20;
   MW_REQUIRE(k_limit <= kMaxWalks,
-             name << ": walk count " << k_limit << " exceeds the supported "
-                  << kMaxWalks << " walks");
+             name << ": " << flag << " asks for " << k_limit
+                  << " walks; the limit is " << kMaxWalks);
   return k_limit;
 }
 

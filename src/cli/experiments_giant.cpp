@@ -88,7 +88,8 @@ ExperimentResult run_giant_cycle(const ExperimentParams& params,
   const auto n = static_cast<Vertex>(n64);
   const std::uint64_t trials = resolve_trials(preset, params);
   const std::uint64_t k_limit =
-      checked_walk_count("giant-cycle-speedup", resolve_kmax(preset, params));
+      checked_walk_count("giant-cycle-speedup", "--kmax",
+                         resolve_kmax(preset, params));
   const Vertex target = clamp_cover_target(resolve_target(preset, params), n);
 
   const CycleSubstrate substrate(n);
@@ -145,7 +146,8 @@ ExperimentResult run_giant_torus(const ExperimentParams& params,
   const Vertex n = substrate.num_vertices();
   const std::uint64_t trials = resolve_trials(preset, params);
   const std::uint64_t k_limit =
-      checked_walk_count("giant-torus-speedup", resolve_kmax(preset, params));
+      checked_walk_count("giant-torus-speedup", "--kmax",
+                         resolve_kmax(preset, params));
   const Vertex target = clamp_cover_target(resolve_target(preset, params), n);
 
   const std::vector<unsigned> ks = geometric_ks(k_limit);

@@ -235,7 +235,7 @@ ExperimentResult run_mwg_speedup_on(const Engines& engines,
   const std::uint64_t seed = params.seed;
   const std::uint64_t trials = resolve_trials(preset, params);
   const std::uint64_t k_limit =
-      checked_walk_count("mwg-speedup", resolve_kmax(preset, params));
+      checked_walk_count("mwg-speedup", "--kmax", resolve_kmax(preset, params));
   const Vertex n = engines.num_vertices();
   const Vertex start = checked_start("mwg-speedup", params, n);
   const Vertex target = clamp_cover_target(resolve_target(preset, params), n);
@@ -270,7 +270,8 @@ ExperimentResult run_mwg_starts_on(const Engines& engines,
   const std::uint64_t seed = params.seed;
   const std::uint64_t trials = resolve_trials(preset, params);
   const auto k = static_cast<unsigned>(checked_walk_count(
-      "mwg-starts", std::max<std::uint64_t>(resolve_k(preset, params), 1)));
+      "mwg-starts", "--k",
+      std::max<std::uint64_t>(resolve_k(preset, params), 1)));
   const Vertex n = engines.num_vertices();
   const Vertex start = checked_start("mwg-starts", params, n);
 

@@ -26,7 +26,8 @@ ExperimentResult run_cycle_speedup(const ExperimentParams& params,
   const ExperimentPreset& preset = preset_for("fig_cycle_speedup");
   const std::uint64_t seed = params.seed;
   const auto cycle_n = static_cast<Vertex>(resolve_n(preset, params));
-  const std::uint64_t k_limit = resolve_kmax(preset, params);
+  const std::uint64_t k_limit = checked_walk_count(
+      "fig_cycle_speedup", "--kmax", resolve_kmax(preset, params));
   const std::uint64_t target_trials = resolve_trials(preset, params);
 
   FamilyInstance instance;
@@ -292,6 +293,13 @@ ExperimentResult run_barbell_speedup(const ExperimentParams& params,
   } else {
     ns = params.full ? std::vector<Vertex>{101, 201, 401, 801, 1601}
                      : std::vector<Vertex>{51, 101, 201, 401};
+  }
+  MW_REQUIRE(std::isfinite(c_k) && c_k > 0.0,
+             "fig_barbell_speedup: --ck must be positive and finite, got "
+                 << c_k);
+  for (const Vertex n : ns) {
+    checked_walk_count("fig_barbell_speedup", "--ck",
+                       barbell_walk_count(c_k, barbell_vertex_count(n)));
   }
 
   const ExperimentOptions options =

@@ -91,7 +91,8 @@ ExperimentResult run_start_placement(const ExperimentParams& params,
   const std::uint64_t seed = params.seed;
   const std::uint64_t target_n = resolve_n(preset, params);
   const std::uint64_t target_trials = resolve_trials(preset, params);
-  const auto k = static_cast<unsigned>(resolve_k(preset, params));
+  const auto k = static_cast<unsigned>(checked_walk_count(
+      "fig_start_placement", "--k", resolve_k(preset, params)));
 
   const McOptions mc = preset_mc(target_trials);
   const std::vector<GraphFamily> families = {

@@ -25,13 +25,13 @@ void print_graph_usage(std::ostream& os) {
         "\n"
         "Usage:\n"
         "  manywalks graph gen --family=NAME --n=N [--seed=S] --out=F.mwg\n"
-        "                               [--block-bits=B] [--stream]\n"
+        "                               [--block-bits=B]\n"
         "                               synthesize a family and store it\n"
         "                               (families: cycle, grid2d, margulis,\n"
         "                               random-regular, ... — see docs).\n"
-        "                               --stream writes cycle/complete/\n"
-        "                               grid2d/hypercube row by row, so the\n"
-        "                               file can exceed RAM\n"
+        "                               cycle/complete/grid2d/hypercube\n"
+        "                               stream row by row, so the file can\n"
+        "                               exceed RAM\n"
         "  manywalks graph convert --in=EDGES.txt --out=F.mwg\n"
         "                               [--block-bits=B]\n"
         "                               [--keep-duplicates]\n"
@@ -55,13 +55,6 @@ void print_graph_usage(std::ostream& os) {
         "Run experiments on a stored graph with\n"
         "  manywalks run mwg-speedup --graph=F.mwg\n"
         "  manywalks run mwg-starts  --graph=F.mwg\n";
-}
-
-/// Nearest odd integer >= lo — the same rounding make_family_instance
-/// applies, so `gen --stream` and plain `gen` produce identical graphs.
-std::uint64_t round_odd(std::uint64_t n, std::uint64_t lo) {
-  n = std::max(n, lo);
-  return (n % 2 == 0) ? n + 1 : n;
 }
 
 /// Resolves the --block-bits flag against the vertex count: <0 auto-sizes
@@ -112,61 +105,21 @@ std::vector<char*> take_positional(int argc, char** argv, std::string* in) {
   return rest;
 }
 
-/// The `gen --stream` path: materializes nothing — an implicit substrate
-/// streams rows straight into MwgWriter, so the file can be far bigger
-/// than an in-core Graph. Returns the (n, arcs) actually written.
-std::pair<std::uint64_t, std::uint64_t> stream_family(
-    GraphFamily family, std::uint64_t target_n, const std::string& out,
-    std::int64_t block_bits_flag, std::uint32_t* block_bits_out) {
-  // Parameter rounding mirrors make_family_instance case by case, so a
-  // streamed file is byte-identical to `gen` without --stream (the
-  // hypercube's rows are sorted by the substrate write_mwg).
-  switch (family) {
-    case GraphFamily::kCycle: {
-      const auto n = static_cast<Vertex>(round_odd(target_n, 5));
-      const std::uint32_t bits = resolve_block_bits(block_bits_flag, n);
-      write_mwg(out, CycleSubstrate(n), bits);
-      *block_bits_out = bits;
-      return {n, 2ull * n};
-    }
-    case GraphFamily::kComplete: {
-      const auto n =
-          static_cast<Vertex>(std::max<std::uint64_t>(target_n, 4));
-      const std::uint32_t bits = resolve_block_bits(block_bits_flag, n);
-      write_mwg(out, CompleteSubstrate(n), bits);
-      *block_bits_out = bits;
-      return {n, static_cast<std::uint64_t>(n) * (n - 1)};
-    }
-    case GraphFamily::kGrid2d: {
-      const auto side = static_cast<Vertex>(round_odd(
-          static_cast<std::uint64_t>(
-              std::llround(std::sqrt(static_cast<double>(target_n)))),
-          3));
-      const TorusSubstrate torus(side);
-      const std::uint32_t bits =
-          resolve_block_bits(block_bits_flag, torus.num_vertices());
-      write_mwg(out, torus, bits);
-      *block_bits_out = bits;
-      return {torus.num_vertices(), 4ull * torus.num_vertices()};
-    }
-    case GraphFamily::kHypercube: {
-      const auto dim = static_cast<unsigned>(std::max<std::int64_t>(
-          2, std::llround(std::log2(static_cast<double>(target_n)))));
-      const HypercubeSubstrate cube(dim);
-      const std::uint32_t bits =
-          resolve_block_bits(block_bits_flag, cube.num_vertices());
-      write_mwg(out, cube, bits);
-      *block_bits_out = bits;
-      return {cube.num_vertices(),
-              static_cast<std::uint64_t>(cube.num_vertices()) * dim};
-    }
-    default:
-      MW_REQUIRE(false, "--stream supports the implicit families only "
-                        "(cycle, complete, grid2d, hypercube); '"
-                            << family_name(family)
-                            << "' needs an in-core build — drop --stream");
-      return {0, 0};  // unreachable: MW_REQUIRE(false) always throws
-  }
+/// Streams a closed-form family straight into MwgWriter: nothing is
+/// materialized, so the file can be far bigger than an in-core Graph. The
+/// bytes equal write_mwg of the family's Graph (write_mwg sorts each row,
+/// which puts the hypercube's bit-order rows in CSR order).
+template <Substrate S>
+void write_streamed(const S& substrate, const std::string& family,
+                    const std::string& out, std::int64_t block_bits_flag) {
+  const Vertex n = substrate.num_vertices();
+  const std::uint32_t bits = resolve_block_bits(block_bits_flag, n);
+  write_mwg(out, substrate, bits);
+  const std::uint64_t arcs =
+      static_cast<std::uint64_t>(n) * substrate.degree(0);
+  std::cout << "wrote " << out << ": " << family << "(n=" << n << ") — n "
+            << format_count(n) << ", arcs " << format_count(arcs) << ", "
+            << format_version(n, arcs, bits) << ", streamed\n";
 }
 
 int run_gen(int argc, char** argv) {
@@ -175,7 +128,6 @@ int run_gen(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::string out;
   std::int64_t block_bits = -1;
-  bool stream = false;
   ArgParser parser("manywalks graph gen",
                    "synthesize a graph family into an mwg file");
   parser.add_option("family", &family_text,
@@ -186,10 +138,7 @@ int run_gen(int argc, char** argv) {
       .add_option("seed", &seed, "seed for the random families")
       .add_option("out", &out, "output .mwg path")
       .add_option("block-bits", &block_bits,
-                  "2^B vertices per v2 index block; 0 = v1, -1 = auto")
-      .add_flag("stream", &stream,
-                "stream rows from an implicit substrate (cycle, complete, "
-                "grid2d, hypercube): the file can exceed RAM");
+                  "2^B vertices per v2 index block; 0 = v1, -1 = auto");
   if (!parser.parse(argc, argv)) return 1;
   if (family_text.empty() || out.empty()) {
     std::cerr << "manywalks graph gen: --family and --out are required\n";
@@ -204,14 +153,12 @@ int run_gen(int argc, char** argv) {
     return 1;
   }
   try {
-    if (stream) {
-      std::uint32_t bits = 0;
-      const auto [vertices, arcs] =
-          stream_family(*family, n, out, block_bits, &bits);
-      std::cout << "wrote " << out << ": " << family_text
-                << "(n=" << vertices << ") — n " << format_count(vertices)
-                << ", arcs " << format_count(arcs) << ", "
-                << format_version(vertices, arcs, bits) << ", streamed\n";
+    if (const auto substrate = make_family_substrate(*family, n)) {
+      std::visit(
+          [&](const auto& s) {
+            write_streamed(s, family_text, out, block_bits);
+          },
+          *substrate);
       return 0;
     }
     const FamilyInstance instance = make_family_instance(*family, n, seed);

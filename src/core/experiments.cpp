@@ -1,6 +1,9 @@
 #include "core/experiments.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "graph/generators.hpp"
@@ -187,11 +190,6 @@ ResultTable make_table1_result_table(std::span<const Table1Row> rows,
   return table;
 }
 
-TextTable render_table1(std::span<const Table1Row> rows,
-                        std::span<const unsigned> ks) {
-  return to_text_table(make_table1_result_table(rows, ks));
-}
-
 SpeedupCurveResult run_speedup_curve(const FamilyInstance& instance,
                                      std::span<const unsigned> ks,
                                      const ExperimentOptions& options,
@@ -244,10 +242,18 @@ TextTable render_speedup_curve(const SpeedupCurveResult& result,
   return table;
 }
 
+std::uint64_t barbell_walk_count(double c_k, Vertex n) {
+  MW_REQUIRE(std::isfinite(c_k) && c_k > 0.0,
+             "c_k must be positive and finite, got " << c_k);
+  const double k =
+      std::max(2.0, std::ceil(c_k * std::log(static_cast<double>(n))));
+  if (k >= std::ldexp(1.0, 64)) return UINT64_MAX;
+  return static_cast<std::uint64_t>(k);
+}
+
 BarbellResult run_barbell_experiment(std::span<const Vertex> ns, double c_k,
                                      const ExperimentOptions& options,
                                      ThreadPool* pool) {
-  MW_REQUIRE(c_k > 0.0, "c_k must be positive");
   BarbellResult result;
   for (Vertex n : ns) {
     FamilyInstance instance =
@@ -255,8 +261,11 @@ BarbellResult run_barbell_experiment(std::span<const Vertex> ns, double c_k,
     const Vertex actual_n = instance.graph.num_vertices();
     BarbellPoint point;
     point.n = actual_n;
-    point.k = static_cast<unsigned>(std::max(
-        2.0, std::ceil(c_k * std::log(static_cast<double>(actual_n)))));
+    const std::uint64_t k = barbell_walk_count(c_k, actual_n);
+    MW_REQUIRE(k <= std::numeric_limits<unsigned>::max(),
+               "c_k = " << c_k << " asks for " << k << " walks at n = "
+                        << actual_n);
+    point.k = static_cast<unsigned>(k);
 
     McOptions mc = options.mc;
     mc.seed = mix64(options.seed ^ (0xbabe11ULL + actual_n));
@@ -296,10 +305,6 @@ ResultTable make_barbell_result_table(const BarbellResult& result) {
     table.real(p.speedup, 3);
   }
   return table;
-}
-
-TextTable render_barbell(const BarbellResult& result) {
-  return to_text_table(make_barbell_result_table(result));
 }
 
 }  // namespace manywalks

@@ -134,7 +134,6 @@ struct ExperimentOptions {
   CoverOptions cover = lane_cover_options();
   std::uint64_t hmax_exact_limit = 1200;
   std::uint64_t mixing_cap = 400'000;
-  unsigned threads = 0;  ///< workers for the shared pool (0 = hardware)
 };
 
 // --- Table 1 ---------------------------------------------------------------
@@ -154,13 +153,9 @@ Table1Row run_table1_row(const FamilyInstance& instance,
                          const ExperimentOptions& options,
                          ThreadPool* pool = nullptr);
 
-/// Table 1 as a structured table; render_table1 is to_text_table of this,
-/// so the CLI sinks and the legacy text rendering share one layout.
+/// Table 1 as a structured table (to_text_table renders it as text).
 ResultTable make_table1_result_table(std::span<const Table1Row> rows,
                                      std::span<const unsigned> ks);
-
-TextTable render_table1(std::span<const Table1Row> rows,
-                        std::span<const unsigned> ks);
 
 // --- generic speed-up curve (Thms 6, 8, 18) ---------------------------------
 
@@ -199,16 +194,18 @@ struct BarbellResult {
   std::vector<BarbellPoint> points;
 };
 
-/// Thm 7: sweeps n, runs k = ceil(c_k · ln n) walks from the barbell
-/// center, and verifies C = Θ(n^2) vs C^k = O(n).
+/// Thm 7's walk count on an n-vertex barbell, k = max(2, ceil(c_k · ln n)),
+/// saturated at UINT64_MAX so a caller can bound it before narrowing it.
+/// c_k must be positive and finite.
+std::uint64_t barbell_walk_count(double c_k, Vertex n);
+
+/// Thm 7: sweeps n, runs k = barbell_walk_count(c_k, n) walks from the
+/// barbell center, and verifies C = Θ(n^2) vs C^k = O(n).
 BarbellResult run_barbell_experiment(std::span<const Vertex> ns, double c_k,
                                      const ExperimentOptions& options,
                                      ThreadPool* pool = nullptr);
 
-/// The barbell sweep as a structured table; render_barbell is
-/// to_text_table of this.
+/// The barbell sweep as a structured table.
 ResultTable make_barbell_result_table(const BarbellResult& result);
-
-TextTable render_barbell(const BarbellResult& result);
 
 }  // namespace manywalks

@@ -1,5 +1,6 @@
 #include "core/families.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -42,6 +43,30 @@ std::uint64_t make_odd(std::uint64_t n, std::uint64_t lo) {
   return (n % 2 == 0) ? n + 1 : n;
 }
 
+// The natural parameterization of each family with a closed-form
+// substrate, shared by make_family_instance and make_family_substrate.
+
+/// Odd n keeps the plain walk aperiodic (even cycles are bipartite).
+Vertex cycle_size(std::uint64_t target_n) {
+  return static_cast<Vertex>(make_odd(target_n, 5));
+}
+
+Vertex complete_size(std::uint64_t target_n) {
+  return static_cast<Vertex>(std::max<std::uint64_t>(target_n, 4));
+}
+
+Vertex grid2d_side(std::uint64_t target_n) {
+  return static_cast<Vertex>(make_odd(
+      static_cast<std::uint64_t>(
+          std::llround(std::sqrt(static_cast<double>(target_n)))),
+      3));
+}
+
+unsigned hypercube_dimension(std::uint64_t target_n) {
+  return static_cast<unsigned>(std::max<std::int64_t>(
+      2, std::llround(std::log2(static_cast<double>(target_n)))));
+}
+
 std::string instance_name(std::string_view family, Vertex n) {
   std::ostringstream os;
   os << family << "(n=" << n << ")";
@@ -78,6 +103,27 @@ std::vector<GraphFamily> table1_families() {
           GraphFamily::kErdosRenyi};
 }
 
+Vertex barbell_vertex_count(std::uint64_t target_n) {
+  return static_cast<Vertex>(make_odd(target_n, 7));
+}
+
+std::optional<FamilySubstrate> make_family_substrate(GraphFamily family,
+                                                     std::uint64_t target_n) {
+  MW_REQUIRE(target_n >= 4, "family instances need target_n >= 4");
+  switch (family) {
+    case GraphFamily::kCycle:
+      return CycleSubstrate(cycle_size(target_n));
+    case GraphFamily::kComplete:
+      return CompleteSubstrate(complete_size(target_n));
+    case GraphFamily::kGrid2d:
+      return TorusSubstrate(grid2d_side(target_n));
+    case GraphFamily::kHypercube:
+      return HypercubeSubstrate(hypercube_dimension(target_n));
+    default:
+      return std::nullopt;
+  }
+}
+
 FamilyInstance make_family_instance(GraphFamily family, std::uint64_t target_n,
                                     std::uint64_t seed) {
   MW_REQUIRE(target_n >= 4, "family instances need target_n >= 4");
@@ -87,8 +133,7 @@ FamilyInstance make_family_instance(GraphFamily family, std::uint64_t target_n,
 
   switch (family) {
     case GraphFamily::kCycle: {
-      // Odd n keeps the plain walk aperiodic (even cycles are bipartite).
-      const auto n = static_cast<Vertex>(make_odd(target_n, 5));
+      const Vertex n = cycle_size(target_n);
       inst.graph = make_cycle(n);
       inst.theory.cover = cycle_cover_time(n);
       inst.theory.cover_exact = true;
@@ -117,7 +162,7 @@ FamilyInstance make_family_instance(GraphFamily family, std::uint64_t target_n,
       break;
     }
     case GraphFamily::kComplete: {
-      const auto n = static_cast<Vertex>(std::max<std::uint64_t>(target_n, 4));
+      const Vertex n = complete_size(target_n);
       inst.graph = make_complete(n);
       inst.theory.cover = complete_cover_time(n);
       inst.theory.cover_exact = true;
@@ -161,11 +206,7 @@ FamilyInstance make_family_instance(GraphFamily family, std::uint64_t target_n,
       break;
     }
     case GraphFamily::kGrid2d: {
-      const auto side = static_cast<Vertex>(make_odd(
-          static_cast<std::uint64_t>(std::llround(
-              std::sqrt(static_cast<double>(target_n)))),
-          3));
-      inst.graph = make_grid_2d(side, GridTopology::kTorus);
+      inst.graph = make_grid_2d(grid2d_side(target_n), GridTopology::kTorus);
       const Vertex n = inst.graph.num_vertices();
       inst.theory.cover = torus2d_cover_time_asymptotic(n);
       inst.theory.cover_formula = "(1/π) n ln^2 n";
@@ -193,9 +234,7 @@ FamilyInstance make_family_instance(GraphFamily family, std::uint64_t target_n,
       break;
     }
     case GraphFamily::kHypercube: {
-      const auto dim = static_cast<unsigned>(std::max<std::int64_t>(
-          2, std::llround(std::log2(static_cast<double>(target_n)))));
-      inst.graph = make_hypercube(dim);
+      inst.graph = make_hypercube(hypercube_dimension(target_n));
       const Vertex n = inst.graph.num_vertices();
       inst.needs_lazy_mixing = true;  // hypercubes are bipartite
       inst.theory.cover = hypercube_cover_time_asymptotic(n);
@@ -228,7 +267,7 @@ FamilyInstance make_family_instance(GraphFamily family, std::uint64_t target_n,
       break;
     }
     case GraphFamily::kBarbell: {
-      const auto n = static_cast<Vertex>(make_odd(target_n, 7));
+      const Vertex n = barbell_vertex_count(target_n);
       inst.graph = make_barbell(n);
       inst.start = barbell_center(n);
       const double x = static_cast<double>(n);

@@ -7,9 +7,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/substrate.hpp"
 
 namespace manywalks {
 
@@ -75,5 +77,21 @@ struct FamilyInstance {
 /// random families.
 FamilyInstance make_family_instance(GraphFamily family, std::uint64_t target_n,
                                     std::uint64_t seed = 1);
+
+/// The vertex count of make_family_instance(kBarbell, target_n): odd, at
+/// least 7 — for sizing per-n work before the graph is built.
+Vertex barbell_vertex_count(std::uint64_t target_n);
+
+/// A family's closed-form adjacency (graph/substrate.hpp).
+using FamilySubstrate = std::variant<CycleSubstrate, CompleteSubstrate,
+                                     TorusSubstrate, HypercubeSubstrate>;
+
+/// The substrate of the graph make_family_instance(family, target_n) builds
+/// — the same rounding, so the same vertex count and arc multiset — for
+/// cycle, complete, grid2d (a torus) and hypercube; nullopt for every other
+/// family, which needs an in-core build. Rejects target_n < 4 like
+/// make_family_instance.
+std::optional<FamilySubstrate> make_family_substrate(GraphFamily family,
+                                                     std::uint64_t target_n);
 
 }  // namespace manywalks

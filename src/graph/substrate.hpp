@@ -34,9 +34,10 @@
 
 namespace manywalks {
 
-/// The adjacency interface of the walk hot path. Trivial copyability keeps
-/// `Graph` itself out of the overload set (samplers take substrates by
-/// value) and lets the engine's inner loop hold a register-resident copy.
+/// The adjacency interface of the walk hot path. Trivial copyability lets
+/// the engine's inner loop hold a register-resident copy, and keeps `Graph`
+/// (which owns its arrays) out of the concept: a Graph walks through
+/// CsrSubstrate (see as_substrate below).
 template <class S>
 concept Substrate =
     std::is_trivially_copyable_v<S> && std::equality_comparable<S> &&
@@ -89,7 +90,7 @@ concept ArcAddressableSubstrate =
     };
 
 /// Wraps a Graph's live CSR arrays (pointers, not a copy — the Graph must
-/// outlive the substrate, exactly like the historical WalkEngine binding).
+/// outlive the substrate and every engine bound to it).
 /// Equality compares the array identities, so a cached engine can never
 /// silently run against a different graph.
 class CsrSubstrate {
@@ -102,9 +103,9 @@ class CsrSubstrate {
   /// Binds raw CSR arrays directly — the zero-copy path a memory-mapped
   /// graph (storage/mapped_graph.hpp) uses. `row` must hold
   /// num_vertices+1 offsets and `adj` the full arc array; both must
-  /// outlive the substrate, exactly like the Graph overload's arrays. The
-  /// degree extremes come from the caller (the mwg header caches them) so
-  /// binding stays O(1).
+  /// outlive the substrate, exactly like a bound Graph's arrays. The degree
+  /// extremes come from the caller (the mwg header caches them) so binding
+  /// stays O(1).
   CsrSubstrate(const std::uint64_t* row, const Vertex* adj,
                Vertex num_vertices, Vertex min_degree, Vertex max_degree)
       : row_(row),
@@ -150,8 +151,8 @@ class CsrSubstrate {
   }
 
   /// True iff this substrate reads exactly g's live CSR arrays. A pure
-  /// comparison (never throws), unlike constructing a CsrSubstrate from g
-  /// — so WalkEngine::bound_to stays a query even for invalid graphs.
+  /// comparison (never throws), unlike constructing a CsrSubstrate from g,
+  /// so it stays a query even for invalid graphs.
   bool reads_arrays_of(const Graph& g) const noexcept {
     return row_ == g.offsets().data() && adj_ == g.targets().data() &&
            num_vertices_ == g.num_vertices();
@@ -290,12 +291,29 @@ class CompleteSubstrate {
   Vertex n_;
 };
 
+/// What the walk samplers and estimators accept: an explicit Graph or any
+/// substrate. Each is one template that calls as_substrate on its argument.
+template <class G>
+concept Walkable = std::same_as<G, Graph> || Substrate<G>;
+
+/// A Graph walks through a CsrSubstrate over its live arrays; constructing
+/// it re-checks walkability (min degree >= 1) in O(1), because Graph caches
+/// its degree extremes.
+inline CsrSubstrate as_substrate(const Graph& g) { return CsrSubstrate(g); }
+
+/// A substrate walks as itself.
+template <Substrate S>
+const S& as_substrate(const S& substrate) {
+  return substrate;
+}
+
 static_assert(Substrate<CsrSubstrate>);
 static_assert(Substrate<CycleSubstrate>);
 static_assert(Substrate<TorusSubstrate>);
 static_assert(Substrate<HypercubeSubstrate>);
 static_assert(Substrate<CompleteSubstrate>);
 static_assert(!Substrate<Graph>, "Graph must go through CsrSubstrate");
+static_assert(Walkable<Graph> && Walkable<CycleSubstrate>);
 
 static_assert(ArcAddressableSubstrate<CsrSubstrate>);
 static_assert(!ArcAddressableSubstrate<CycleSubstrate>);

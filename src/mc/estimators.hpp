@@ -153,34 +153,22 @@ McResult estimate_cover_to_target(const S& substrate, Vertex start, unsigned k,
 }
 
 /// The k-walk expected cover time C^k_start (k tokens at start).
-template <Substrate S>
-McResult estimate_k_cover_time(const S& substrate, Vertex start, unsigned k,
+template <Walkable G>
+McResult estimate_k_cover_time(const G& g, Vertex start, unsigned k,
                                const McOptions& mc,
                                const CoverOptions& cover = {},
                                ThreadPool* pool = nullptr) {
+  const auto& substrate = as_substrate(g);
   return estimate_cover_to_target(substrate, start, k,
                                   substrate.num_vertices(), mc, cover, pool);
 }
-inline McResult estimate_k_cover_time(const Graph& g, Vertex start,
-                                      unsigned k, const McOptions& mc,
-                                      const CoverOptions& cover = {},
-                                      ThreadPool* pool = nullptr) {
-  return estimate_k_cover_time(CsrSubstrate(g), start, k, mc, cover, pool);
-}
 
 /// The single-walk expected cover time C_start.
-template <Substrate S>
-McResult estimate_cover_time(const S& substrate, Vertex start,
-                             const McOptions& mc,
+template <Walkable G>
+McResult estimate_cover_time(const G& g, Vertex start, const McOptions& mc,
                              const CoverOptions& cover = {},
                              ThreadPool* pool = nullptr) {
-  return estimate_k_cover_time(substrate, start, 1, mc, cover, pool);
-}
-inline McResult estimate_cover_time(const Graph& g, Vertex start,
-                                    const McOptions& mc,
-                                    const CoverOptions& cover = {},
-                                    ThreadPool* pool = nullptr) {
-  return estimate_k_cover_time(CsrSubstrate(g), start, 1, mc, cover, pool);
+  return estimate_k_cover_time(g, start, 1, mc, cover, pool);
 }
 
 /// The cover time of a k-walk with explicit starting vertices.
@@ -294,20 +282,15 @@ std::vector<SpeedupEstimate> estimate_speedup_curve_to_target(
 }
 
 /// S^k across several k for full cover, reusing one k = 1 baseline.
-template <Substrate S>
+template <Walkable G>
 std::vector<SpeedupEstimate> estimate_speedup_curve(
-    const S& substrate, Vertex start, std::span<const unsigned> ks,
+    const G& g, Vertex start, std::span<const unsigned> ks,
     const McOptions& mc, const CoverOptions& cover = {},
     ThreadPool* pool = nullptr) {
+  const auto& substrate = as_substrate(g);
   return estimate_speedup_curve_to_target(InCore(substrate), start,
                                           substrate.num_vertices(), ks, mc,
                                           cover, pool);
-}
-inline std::vector<SpeedupEstimate> estimate_speedup_curve(
-    const Graph& g, Vertex start, std::span<const unsigned> ks,
-    const McOptions& mc, const CoverOptions& cover = {},
-    ThreadPool* pool = nullptr) {
-  return estimate_speedup_curve(CsrSubstrate(g), start, ks, mc, cover, pool);
 }
 
 /// S^k at a single k (runs both the 1-walk and the k-walk).

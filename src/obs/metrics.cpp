@@ -160,32 +160,9 @@ void MetricsRegistry::merge(const WorkerCounters& worker) {
   }
 }
 
-std::size_t MetricsRegistry::register_metric(std::string name,
-                                             MetricKind kind) {
-  dynamic_.push_back(Dynamic{std::move(name), kind, 0, {}});
-  return kMetricCount + dynamic_.size() - 1;
-}
-
-void MetricsRegistry::add_id(std::size_t id, std::uint64_t delta) {
-  if (id < kMetricCount) {
-    values_[id] += delta;
-    return;
-  }
-  const std::size_t slot = id - kMetricCount;
-  MW_REQUIRE(slot < dynamic_.size(), "add_id: unregistered metric id");
-  dynamic_[slot].value += delta;
-}
-
-std::uint64_t MetricsRegistry::value_id(std::size_t id) const {
-  if (id < kMetricCount) return values_[id];
-  const std::size_t slot = id - kMetricCount;
-  MW_REQUIRE(slot < dynamic_.size(), "value_id: unregistered metric id");
-  return dynamic_[slot].value;
-}
-
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
   std::vector<MetricSnapshot> out;
-  out.reserve(kMetricCount + dynamic_.size());
+  out.reserve(kMetricCount);
   std::size_t histogram_slot = 0;
   for (std::size_t i = 0; i < kMetricCount; ++i) {
     MetricSnapshot snap;
@@ -197,20 +174,12 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
     }
     out.push_back(std::move(snap));
   }
-  for (const Dynamic& dynamic : dynamic_) {
-    out.push_back(MetricSnapshot{dynamic.name, dynamic.kind, dynamic.value,
-                                 dynamic.buckets});
-  }
   return out;
 }
 
 void MetricsRegistry::reset() {
   values_ = {};
   for (auto& buckets : histograms_) buckets.clear();
-  for (Dynamic& dynamic : dynamic_) {
-    dynamic.value = 0;
-    dynamic.buckets.clear();
-  }
 }
 
 }  // namespace manywalks::obs

@@ -1,11 +1,11 @@
-// Minimal ordered JSON writer shared by the CLI sinks (the run-manifest
-// block), `manywalks graph info --json`, and the observability tests.
+// JSON string escaping and number formatting for every JSON the program
+// writes (the experiment sinks, the trace file), plus a minimal ordered
+// writer (`manywalks graph info --json`, the observability tests).
 //
 // Emission order is exactly call order: deterministic, byte-stable output
 // is part of the sink contract, so there is no map-backed reordering here.
-// Numbers render via std::to_chars (shortest round-trip form), matching the
-// experiment sinks; NaN/Inf render as null because JSON has no spelling for
-// them.
+// Numbers render via std::to_chars (shortest round-trip form); NaN/Inf
+// render as null because JSON has no spelling for them.
 #pragma once
 
 #include <charconv>

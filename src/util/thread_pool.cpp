@@ -16,13 +16,21 @@ unsigned default_thread_count() noexcept {
 
 ThreadPool::ThreadPool(unsigned num_threads) {
   const unsigned n = num_threads == 0 ? default_thread_count() : num_threads;
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    workers_.reserve(n);
+    for (unsigned i = 0; i < n; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A joinable std::thread destroyed unjoined calls std::terminate.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() noexcept {
   {
     std::lock_guard lock(mutex_);
     shutting_down_ = true;

@@ -20,6 +20,8 @@ namespace manywalks {
 class ThreadPool {
  public:
   /// Creates `num_threads` workers; 0 means std::thread::hardware_concurrency.
+  /// If a worker fails to start, the ones already running are stopped and
+  /// joined before the error propagates.
   explicit ThreadPool(unsigned num_threads = 0);
   ~ThreadPool();
 
@@ -46,6 +48,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Lets the workers drain the queue, then joins them.
+  void stop_and_join() noexcept;
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;

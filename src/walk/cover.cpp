@@ -8,41 +8,6 @@
 
 namespace manywalks {
 
-// The Graph-facing samplers are thin delegations through CsrSubstrate:
-// constructing the substrate per call revalidates walkability in O(1)
-// (Graph caches its min degree) — the guard against the allocator handing
-// a new graph the same blocks as a cached engine's — and the per-thread
-// pooled WalkEngineT<CsrSubstrate> in cover.hpp rebinds on array identity
-// exactly as the historical pooled WalkEngine did.
-
-CoverSample sample_cover_time(const Graph& g, Vertex start, Rng& rng,
-                              const CoverOptions& options) {
-  const Vertex starts[1] = {start};
-  return sample_cover_to_target(CsrSubstrate(g), starts, g.num_vertices(),
-                                rng, options);
-}
-
-CoverSample sample_multi_cover_time(const Graph& g,
-                                    std::span<const Vertex> starts, Rng& rng,
-                                    const CoverOptions& options) {
-  return sample_cover_to_target(CsrSubstrate(g), starts, g.num_vertices(),
-                                rng, options);
-}
-
-CoverSample sample_k_cover_time(const Graph& g, Vertex start, unsigned k,
-                                Rng& rng, const CoverOptions& options) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  std::vector<Vertex> starts(k, start);
-  return sample_cover_to_target(CsrSubstrate(g), starts, g.num_vertices(),
-                                rng, options);
-}
-
-CoverSample sample_hitting_time(const Graph& g, std::span<const Vertex> starts,
-                                std::span<const Vertex> targets, Rng& rng,
-                                const CoverOptions& options) {
-  return sample_hitting_time(CsrSubstrate(g), starts, targets, rng, options);
-}
-
 CoverSample sample_partial_cover_time(const Graph& g,
                                       std::span<const Vertex> starts,
                                       double fraction, Rng& rng,

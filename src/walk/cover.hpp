@@ -1,7 +1,10 @@
 // Cover-time sampling for single walks and k-walks (the paper's central
 // random variables τ_i and τ^k_i), and k-walk hitting times as cover runs
-// to a target set, over explicit CSR graphs and over implicit substrates
-// (graph/substrate.hpp).
+// to a target set. Each sampler is one template over Walkable: an explicit
+// Graph walks through its CsrSubstrate, an implicit substrate
+// (graph/substrate.hpp) as itself, with no CSR ever built — the per-thread
+// engine's n/8-byte visit tracker is then the only O(n) allocation, which
+// is what lets the giant-graph experiments run at n = 10^7–10^8.
 //
 // Timing convention: the starting vertices count as visited at t = 0, and
 // in each round every token takes one step. The sampled value is the first
@@ -30,23 +33,69 @@
 
 namespace manywalks {
 
-/// One cover-time sample of a single walk from `start`. (Every sampler here
-/// runs on the calling thread's pooled engine, pooled_substrate_engine
-/// below; Monte-Carlo estimates go through mc/estimators.hpp's
-/// estimate_cover instead of looping over these.)
-CoverSample sample_cover_time(const Graph& g, Vertex start, Rng& rng,
-                              const CoverOptions& options = {});
+/// Reusable per-thread engine, one cached instance per substrate TYPE per
+/// thread: a Monte-Carlo estimate walks thousands of trials on the same
+/// substrate from pool worker threads, and rebinding is a value comparison
+/// away (a CsrSubstrate compares its array identities, so a cached engine
+/// never runs on a different graph). Every sampler here runs on it;
+/// Monte-Carlo estimates go through mc/estimators.hpp's estimate_cover
+/// instead of looping over these.
+template <Substrate S>
+WalkEngineT<S>& pooled_substrate_engine(const S& substrate) {
+  thread_local std::optional<WalkEngineT<S>> engine;
+  if (!engine.has_value() || !(engine->substrate() == substrate)) {
+    engine.emplace(substrate);
+  }
+  return *engine;
+}
+
+/// One k-walk trial run until `target` distinct vertices are visited or
+/// the cap is reached (the primitive the fixed-target giant experiments
+/// sample: full cover at n = 10^8 is out of reach, partial cover is not).
+/// Every cover sampler here, and the InCore engine source, delegates
+/// through it.
+template <Substrate S>
+CoverSample sample_cover_to_target(const S& substrate,
+                                   std::span<const Vertex> starts,
+                                   Vertex target, Rng& rng,
+                                   const CoverOptions& options = {}) {
+  WalkEngineT<S>& engine = pooled_substrate_engine(substrate);
+  engine.reset(starts);
+  return engine.run_until_visited(target, rng, options);
+}
+
+/// One cover-time sample of a single walk from `start`.
+template <Walkable G>
+CoverSample sample_cover_time(const G& g, Vertex start, Rng& rng,
+                              const CoverOptions& options = {}) {
+  const auto& substrate = as_substrate(g);
+  const Vertex starts[1] = {start};
+  return sample_cover_to_target(substrate, starts, substrate.num_vertices(),
+                                rng, options);
+}
 
 /// One cover-time sample of a k-walk with explicit starting vertices (the
 /// paper's walks all start at the same vertex, but Lemma 16 and the
 /// stationary-start discussion need arbitrary starts).
-CoverSample sample_multi_cover_time(const Graph& g,
+template <Walkable G>
+CoverSample sample_multi_cover_time(const G& g,
                                     std::span<const Vertex> starts, Rng& rng,
-                                    const CoverOptions& options = {});
+                                    const CoverOptions& options = {}) {
+  const auto& substrate = as_substrate(g);
+  return sample_cover_to_target(substrate, starts, substrate.num_vertices(),
+                                rng, options);
+}
 
 /// One cover-time sample of k walks all starting at `start` (τ^k_start).
-CoverSample sample_k_cover_time(const Graph& g, Vertex start, unsigned k,
-                                Rng& rng, const CoverOptions& options = {});
+template <Walkable G>
+CoverSample sample_k_cover_time(const G& g, Vertex start, unsigned k,
+                                Rng& rng, const CoverOptions& options = {}) {
+  MW_REQUIRE(k >= 1, "k must be >= 1");
+  std::vector<Vertex> starts(k, start);
+  const auto& substrate = as_substrate(g);
+  return sample_cover_to_target(substrate, starts, substrate.num_vertices(),
+                                rng, options);
+}
 
 /// Rounds until some token stands on a vertex of `targets` (the k-walk
 /// hitting time of the set; the paper's search and hunting quantity). Runs
@@ -54,9 +103,22 @@ CoverSample sample_k_cover_time(const Graph& g, Vertex start, unsigned k,
 /// visited, so the run is a cover run to n - |distinct targets| + 1
 /// vertices. A start on a target gives 0 rounds; covered == false iff
 /// `options.step_cap` was reached first.
-CoverSample sample_hitting_time(const Graph& g, std::span<const Vertex> starts,
+template <Walkable G>
+CoverSample sample_hitting_time(const G& g, std::span<const Vertex> starts,
                                 std::span<const Vertex> targets, Rng& rng,
-                                const CoverOptions& options = {});
+                                const CoverOptions& options = {}) {
+  const auto& substrate = as_substrate(g);
+  MW_REQUIRE(!targets.empty(), "hitting time needs at least one target");
+  std::vector<Vertex> distinct(targets.begin(), targets.end());
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  auto& engine = pooled_substrate_engine(substrate);
+  engine.reset(starts, targets);
+  return engine.run_until_visited(
+      substrate.num_vertices() - static_cast<Vertex>(distinct.size()) + 1,
+      rng, options);
+}
 
 /// Rounds until at least ceil(fraction * n) distinct vertices are visited.
 CoverSample sample_partial_cover_time(const Graph& g,
@@ -88,82 +150,5 @@ std::vector<std::uint64_t> sample_visit_counts(const Graph& g, Vertex start,
                                                std::uint64_t num_steps,
                                                Rng& rng,
                                                const CoverOptions& options = {});
-
-// --- substrate overloads -----------------------------------------------------
-//
-// The same samplers over an implicit (or CSR-wrapping) substrate. On an
-// implicit substrate no CSR is ever built: the per-thread engine's
-// n/8-byte visit tracker is the only O(n) allocation, which is what lets
-// the giant-graph experiments run at n = 10^7–10^8.
-
-/// Reusable per-thread engine, one cached instance per substrate TYPE per
-/// thread (the Graph samplers in cover.cpp use the CsrSubstrate one): a
-/// Monte-Carlo estimate walks thousands of trials on the same substrate
-/// from pool worker threads, and rebinding is a value comparison away.
-template <Substrate S>
-WalkEngineT<S>& pooled_substrate_engine(const S& substrate) {
-  thread_local std::optional<WalkEngineT<S>> engine;
-  if (!engine.has_value() || !(engine->substrate() == substrate)) {
-    engine.emplace(substrate);
-  }
-  return *engine;
-}
-
-/// One k-walk trial run until `target` distinct vertices are visited or
-/// the cap is reached (the primitive the fixed-target giant experiments
-/// sample: full cover at n = 10^8 is out of reach, partial cover is not).
-/// Every cover sampler here, and the InCore engine source, delegates
-/// through it.
-template <Substrate S>
-CoverSample sample_cover_to_target(const S& substrate,
-                                   std::span<const Vertex> starts,
-                                   Vertex target, Rng& rng,
-                                   const CoverOptions& options = {}) {
-  WalkEngineT<S>& engine = pooled_substrate_engine(substrate);
-  engine.reset(starts);
-  return engine.run_until_visited(target, rng, options);
-}
-
-template <Substrate S>
-CoverSample sample_hitting_time(const S& substrate,
-                                std::span<const Vertex> starts,
-                                std::span<const Vertex> targets, Rng& rng,
-                                const CoverOptions& options = {}) {
-  MW_REQUIRE(!targets.empty(), "hitting time needs at least one target");
-  std::vector<Vertex> distinct(targets.begin(), targets.end());
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  WalkEngineT<S>& engine = pooled_substrate_engine(substrate);
-  engine.reset(starts, targets);
-  return engine.run_until_visited(
-      substrate.num_vertices() - static_cast<Vertex>(distinct.size()) + 1,
-      rng, options);
-}
-
-template <Substrate S>
-CoverSample sample_cover_time(const S& substrate, Vertex start, Rng& rng,
-                              const CoverOptions& options = {}) {
-  const Vertex starts[1] = {start};
-  return sample_cover_to_target(substrate, starts, substrate.num_vertices(),
-                                rng, options);
-}
-
-template <Substrate S>
-CoverSample sample_multi_cover_time(const S& substrate,
-                                    std::span<const Vertex> starts, Rng& rng,
-                                    const CoverOptions& options = {}) {
-  return sample_cover_to_target(substrate, starts, substrate.num_vertices(),
-                                rng, options);
-}
-
-template <Substrate S>
-CoverSample sample_k_cover_time(const S& substrate, Vertex start, unsigned k,
-                                Rng& rng, const CoverOptions& options = {}) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  std::vector<Vertex> starts(k, start);
-  return sample_cover_to_target(substrate, starts, substrate.num_vertices(),
-                                rng, options);
-}
 
 }  // namespace manywalks

@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -285,21 +286,27 @@ inline void lane_round_csr_regular(const S& substrate, Draw draw,
 template <class S>
 class WalkEngineT {
   static_assert(Substrate<S>,
-                "WalkEngineT requires a Substrate (wrap a Graph in "
-                "CsrSubstrate, or use WalkEngine)");
+                "WalkEngineT requires a Substrate (a Graph binds through "
+                "WalkEngine, the CsrSubstrate instantiation)");
 
  public:
   /// Binds the substrate by value. For CsrSubstrate the underlying Graph's
   /// CSR arrays must outlive the engine; implicit substrates carry no
   /// external state. Walkability is the substrate's own invariant (every
-  /// substrate guarantees min degree >= 1 by construction; the Graph-facing
-  /// WalkEngine validates it once at binding).
+  /// substrate guarantees min degree >= 1 by construction; CsrSubstrate
+  /// validates it once at binding).
   explicit WalkEngineT(const S& substrate)
       : substrate_(substrate),
         num_vertices_(substrate.num_vertices()),
         tracker_(substrate.num_vertices()) {
     MW_REQUIRE(num_vertices_ >= 1, "walk on empty substrate");
   }
+
+  /// Binds g's live CSR arrays (pointers, not a copy): g must outlive the
+  /// engine.
+  explicit WalkEngineT(const Graph& g)
+    requires std::same_as<S, CsrSubstrate>
+      : WalkEngineT(CsrSubstrate(g)) {}
 
   /// Re-seeds the tokens (each validated against the vertex range) and
   /// resets the visited scratch; the starts count as visited at t = 0.
@@ -728,21 +735,7 @@ extern template class WalkEngineT<TorusSubstrate>;
 extern template class WalkEngineT<HypercubeSubstrate>;
 extern template class WalkEngineT<CompleteSubstrate>;
 
-/// The historical Graph-facing engine: the CsrSubstrate instantiation plus
-/// one-time walkability validation and the live-array binding check.
-class WalkEngine : public WalkEngineT<CsrSubstrate> {
- public:
-  /// Binds to `g` and validates walkability once. The graph's CSR arrays
-  /// must outlive the engine; the engine holds pointers, not a copy.
-  explicit WalkEngine(const Graph& g);
-
-  /// True iff this engine was constructed against exactly g's live CSR
-  /// arrays (compared by data pointer and size, not graph address), so a
-  /// cached engine can never silently run on a different graph. A pure
-  /// query: never throws, even for an unwalkable g.
-  bool bound_to(const Graph& g) const noexcept {
-    return substrate().reads_arrays_of(g);
-  }
-};
+/// The engine over an explicit Graph's CSR arrays.
+using WalkEngine = WalkEngineT<CsrSubstrate>;
 
 }  // namespace manywalks

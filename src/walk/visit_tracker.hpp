@@ -1,9 +1,5 @@
-// O(1)-reset visited-set tracking for repeated walk trials.
-//
-// A Monte-Carlo estimate runs thousands of cover-time trials on the same
-// graph; clearing an n-bit set per trial would dominate small-graph runs.
-// Instead each vertex stores the epoch of its last visit and reset() just
-// bumps the epoch.
+// Visited-set tracking for the walk engine: one bit per vertex, serial
+// (WordVisitTracker) and per-shard (ShardedVisitTracker).
 #pragma once
 
 #include <algorithm>
@@ -16,51 +12,12 @@
 
 namespace manywalks {
 
-class VisitTracker {
- public:
-  explicit VisitTracker(Vertex num_vertices)
-      : stamp_(num_vertices, 0), epoch_(0) {
-    reset();
-  }
-
-  /// Forgets all visits in O(1) (amortized; a full clear happens only on
-  /// 32-bit epoch wrap-around).
-  void reset() {
-    if (epoch_ == UINT32_MAX) {
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 0;
-    }
-    ++epoch_;
-    num_visited_ = 0;
-  }
-
-  /// Marks v visited; returns true on first visit this epoch.
-  bool visit(Vertex v) {
-    if (stamp_[v] == epoch_) return false;
-    stamp_[v] = epoch_;
-    ++num_visited_;
-    return true;
-  }
-
-  bool visited(Vertex v) const { return stamp_[v] == epoch_; }
-
-  Vertex num_visited() const { return num_visited_; }
-  Vertex num_vertices() const { return static_cast<Vertex>(stamp_.size()); }
-  bool all_visited() const { return num_visited_ == num_vertices(); }
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_;
-  Vertex num_visited_ = 0;
-};
-
 /// Word-level (one bit per vertex) visited set for the batched walk engine.
 ///
-/// Trades VisitTracker's O(1) reset for a 32x smaller footprint: the whole
-/// scratch for a 64k-vertex graph is 8 KiB and stays L1-resident while the
-/// walk's visit pattern hops randomly across vertices. reset() is an
-/// O(n/64) word fill — negligible next to any cover-time trial, which takes
-/// Ω(n) steps on every graph.
+/// The whole scratch for a 64k-vertex graph is 8 KiB and stays L1-resident
+/// while the walk's visit pattern hops randomly across vertices. reset() is
+/// an O(n/64) word fill — negligible next to any cover-time trial, which
+/// takes Ω(n) steps on every graph.
 class WordVisitTracker {
  public:
   explicit WordVisitTracker(Vertex num_vertices)

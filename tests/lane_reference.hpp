@@ -6,16 +6,17 @@
 // off the caller's stream, lane i walks on make_lane_rng(master, i), a lazy
 // step draws uniform01 first, and a moving step lands on
 // g.neighbor(v, lane_neighbor_index(lane, degree(v))). G is a Graph or any
-// substrate (both expose num_vertices/degree/neighbor).
+// substrate (both expose num_vertices/degree/neighbor). Its visited set is
+// a plain byte per vertex, independent of the engine's bitmap trackers.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "util/rng.hpp"
 #include "walk/cover_types.hpp"
-#include "walk/visit_tracker.hpp"
 
 namespace manywalks {
 
@@ -24,8 +25,14 @@ struct ReferenceLanes {
   ReferenceLanes(const G& graph, std::span<const Vertex> starts)
       : g(graph),
         tokens(starts.begin(), starts.end()),
-        tracker(graph.num_vertices()) {
-    for (Vertex s : tokens) tracker.visit(s);
+        visited(graph.num_vertices(), 0) {
+    for (Vertex s : tokens) visit(s);
+  }
+
+  void visit(Vertex v) {
+    if (visited[v] != 0) return;
+    visited[v] = 1;
+    ++num_visited;
   }
 
   /// Draws the lane master on the first call only, like the engine.
@@ -47,14 +54,15 @@ struct ReferenceLanes {
         const auto degree = static_cast<std::uint32_t>(g.degree(v));
         tokens[i] = g.neighbor(v, lane_neighbor_index(lane, degree));
       }
-      tracker.visit(tokens[i]);
+      visit(tokens[i]);
       if (counts != nullptr) ++counts[tokens[i]];
     }
   }
 
   const G& g;
   std::vector<Vertex> tokens;
-  VisitTracker tracker;
+  std::vector<char> visited;
+  Vertex num_visited = 0;
   std::vector<Rng> lanes;
 };
 
@@ -66,7 +74,7 @@ CoverSample reference_cover(const G& g, std::span<const Vertex> starts,
                             const CoverOptions& options = {}) {
   ReferenceLanes<G> walk(g, starts);
   CoverSample sample;
-  if (walk.tracker.num_visited() >= target) {
+  if (walk.num_visited >= target) {
     sample.covered = true;
     return sample;
   }
@@ -76,7 +84,7 @@ CoverSample reference_cover(const G& g, std::span<const Vertex> starts,
   while (t < options.step_cap) {
     ++t;
     walk.round(options.laziness);
-    if (walk.tracker.num_visited() >= target) {
+    if (walk.num_visited >= target) {
       sample.steps = t;
       sample.covered = true;
       return sample;

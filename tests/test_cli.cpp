@@ -587,6 +587,34 @@ TEST(Driver, BlockWalkRejectsOptionsItCannotHonor) {
   }
 }
 
+TEST(Driver, OversizedWalkAndThreadCountsFailCleanly) {
+  // Each count is rejected before any sweep, with the flag and its limit
+  // in the message: none may wrap through a cast to unsigned, start a
+  // 2^21-token trial, or start a thread pool of the requested size.
+  struct Case {
+    const char* experiment;
+    const char* arg;
+    const char* flag;
+    const char* limit;
+  };
+  const Case cases[] = {
+      {"fig_start_placement", "--k=4294967297", "--k", "1048576"},
+      {"fig_start_placement", "--k=4294967296", "--k", "1048576"},
+      {"fig_cycle_speedup", "--kmax=2097152", "--kmax", "1048576"},
+      {"fig_barbell_speedup", "--ck=1e300", "--ck", "1048576"},
+      {"fig_barbell_speedup", "--ck=inf", "--ck", "finite"},
+      {"fig_cycle_speedup", "--threads=1025", "--threads", "1024"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.experiment) + " " + c.arg);
+    const DriverRun run = run_driver(c.experiment, {c.arg, "--trials=2"});
+    EXPECT_EQ(run.exit_code, 1);
+    EXPECT_TRUE(run.out.empty()) << run.out;
+    EXPECT_NE(run.err.find(c.flag), std::string::npos) << run.err;
+    EXPECT_NE(run.err.find(c.limit), std::string::npos) << run.err;
+  }
+}
+
 // --- docs contract ----------------------------------------------------------
 
 TEST(Docs, ReproducingGuideListsEveryExperiment) {

@@ -81,13 +81,13 @@ void expect_steps_match_reference(Engine& engine, const G& oracle,
   engine.run_for_steps(rounds, eng_rng, laziness, counts.data());
   EXPECT_EQ(ref_rng.state(), eng_rng.state());
   EXPECT_EQ(ref_counts, counts);
-  EXPECT_EQ(ref.tracker.num_visited(), engine.num_visited());
+  EXPECT_EQ(ref.num_visited, engine.num_visited());
   ASSERT_EQ(ref.tokens.size(), engine.tokens().size());
   for (std::size_t i = 0; i < ref.tokens.size(); ++i) {
     EXPECT_EQ(ref.tokens[i], engine.tokens()[i]) << "lane " << i;
   }
   for (Vertex v = 0; v < n; ++v) {
-    ASSERT_EQ(ref.tracker.visited(v), engine.visited(v)) << "v=" << v;
+    ASSERT_EQ(ref.visited[v] != 0, engine.visited(v)) << "v=" << v;
   }
 }
 
@@ -271,19 +271,19 @@ TEST(WalkEngine, CsrSubstrateInstantiationIsTheGraphEngine) {
   }
 }
 
-TEST(WalkEngine, BoundToTracksLiveCsrArrays) {
+TEST(WalkEngine, SubstrateTracksLiveCsrArrays) {
   const Graph a = make_cycle(16);
   const Graph b = make_cycle(16);  // same shape, different arrays
   WalkEngine engine(a);
-  EXPECT_TRUE(engine.bound_to(a));
-  EXPECT_FALSE(engine.bound_to(b));
+  EXPECT_TRUE(engine.substrate().reads_arrays_of(a));
+  EXPECT_FALSE(engine.substrate().reads_arrays_of(b));
 
-  // bound_to is a pure query: an unwalkable graph yields false, it does
-  // not throw (only *binding* to such a graph does).
+  // reads_arrays_of is a pure query: an unwalkable graph yields false, it
+  // does not throw (only *binding* to such a graph does).
   GraphBuilder builder(3);
   builder.add_edge(0, 1);  // vertex 2 isolated
   const Graph unwalkable = builder.build();
-  EXPECT_FALSE(engine.bound_to(unwalkable));
+  EXPECT_FALSE(engine.substrate().reads_arrays_of(unwalkable));
 }
 
 TEST(CoverSamplers, InterleavedGraphsStayDeterministic) {

@@ -34,7 +34,8 @@ TEST(Table1Experiment, RenderContainsFamilyAndColumns) {
   const FamilyInstance inst = make_family_instance(GraphFamily::kCycle, 33);
   const std::vector<unsigned> ks = {2};
   const Table1Row row = run_table1_row(inst, ks, quick_options(100));
-  const TextTable table = render_table1(std::vector<Table1Row>{row}, ks);
+  const TextTable table =
+      to_text_table(make_table1_result_table(std::vector<Table1Row>{row}, ks));
   const std::string text = table.str();
   EXPECT_NE(text.find("cycle"), std::string::npos);
   EXPECT_NE(text.find("S^2"), std::string::npos);
@@ -96,7 +97,8 @@ TEST(BarbellExperiment, ProducesPointPerSize) {
 TEST(BarbellExperiment, RenderSmokes) {
   const std::vector<Vertex> ns = {31};
   const auto result = run_barbell_experiment(ns, 3.0, quick_options(60));
-  const std::string text = render_barbell(result).str();
+  const std::string text =
+      to_text_table(make_barbell_result_table(result)).str();
   EXPECT_NE(text.find("C^k/n"), std::string::npos);
   EXPECT_NE(text.find("31"), std::string::npos);
 }

@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -664,6 +666,49 @@ TEST(GraphTool, GenInfoRoundTrip) {
   EXPECT_EQ(run_graph_tool({"gen", "--family=nope", "--out=" + mwg.path()}), 1);
   EXPECT_EQ(run_graph_tool({"info", "/nonexistent.mwg"}), 1);
   EXPECT_EQ(run_graph_tool({"frobnicate"}), 1);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(GraphTool, GenStreamsClosedFormFamiliesAsTheirInCoreGraph) {
+  // `graph gen` streams cycle/complete/grid2d/hypercube from their
+  // substrates; the file must be the in-core family graph's, byte for
+  // byte, and a size the family registry rejects must fail the same way.
+  TempFile streamed("gen_streamed.mwg");
+  TempFile in_core("gen_in_core.mwg");
+  const std::uint64_t sizes[] = {2, 3, 4, 5, 8, 9, 24, 50, 63, 100, 257, 1000};
+  for (const char* name : {"cycle", "complete", "grid2d", "hypercube"}) {
+    const GraphFamily family = *family_from_name(name);
+    for (const std::uint64_t n : sizes) {
+      for (const std::int64_t bits : {0, 4, -1}) {
+        SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n) +
+                     " bits=" + std::to_string(bits));
+        std::ostringstream quiet;
+        std::streambuf* const saved_out = std::cout.rdbuf(quiet.rdbuf());
+        std::streambuf* const saved_err = std::cerr.rdbuf(quiet.rdbuf());
+        const int exit_code = run_graph_tool(
+            {"gen", std::string("--family=") + name,
+             "--n=" + std::to_string(n), "--block-bits=" + std::to_string(bits),
+             "--out=" + streamed.path()});
+        std::cout.rdbuf(saved_out);
+        std::cerr.rdbuf(saved_err);
+        if (n < 4) {
+          EXPECT_EQ(exit_code, 1);
+          EXPECT_THROW(make_family_instance(family, n), std::invalid_argument);
+          continue;
+        }
+        ASSERT_EQ(exit_code, 0) << quiet.str();
+        const Graph g = make_family_instance(family, n).graph;
+        write_mwg(in_core.path(), g,
+                  bits < 0 ? mwg_default_block_bits(g.num_vertices())
+                           : static_cast<std::uint32_t>(bits));
+        EXPECT_EQ(file_bytes(streamed.path()), file_bytes(in_core.path()));
+      }
+    }
+  }
 }
 
 // --- the zero-adjacency-read contract at 10^6 vertices -----------------------

@@ -119,8 +119,8 @@ TEST(Substrates, ConstructorsValidate) {
   EXPECT_THROW(CompleteSubstrate(1), std::invalid_argument);
 
   // CsrSubstrate upholds the walkable-by-construction invariant too: a
-  // degree-0 vertex would make neighbor() read past its empty row, so a
-  // bare WalkEngineT<CsrSubstrate> must be as safe as WalkEngine.
+  // degree-0 vertex would make neighbor() read past its empty row, so an
+  // engine bound to raw CSR arrays is as safe as one bound to a Graph.
   GraphBuilder builder(3);
   builder.add_edge(0, 1);  // vertex 2 isolated
   const Graph unwalkable = builder.build();
@@ -129,9 +129,9 @@ TEST(Substrates, ConstructorsValidate) {
 
 // --- engine equivalence -------------------------------------------------------
 
-/// Runs the same trials through the Graph-facing CSR engine and through
-/// WalkEngineT<S>; with a CSR-ordered substrate both the sampled cover
-/// times and the RNG states must match draw for draw.
+/// Runs the same trials through the engine bound to g (WalkEngine) and
+/// through WalkEngineT<S>; with a CSR-ordered substrate both the sampled
+/// cover times and the RNG states must match draw for draw.
 template <Substrate S>
 void expect_engine_bit_identical(const S& substrate, const Graph& g,
                                  unsigned k, Vertex target) {

@@ -11,8 +11,8 @@
 namespace manywalks {
 namespace {
 
-TEST(VisitTrackerTest, TracksAndResets) {
-  VisitTracker t(4);
+TEST(WordVisitTrackerTest, TracksAndResets) {
+  WordVisitTracker t(4);
   EXPECT_EQ(t.num_visited(), 0u);
   EXPECT_TRUE(t.visit(2));
   EXPECT_FALSE(t.visit(2));
@@ -26,15 +26,6 @@ TEST(VisitTrackerTest, TracksAndResets) {
   t.reset();
   EXPECT_EQ(t.num_visited(), 0u);
   EXPECT_FALSE(t.visited(2));
-}
-
-TEST(VisitTrackerTest, ManyResetsStayCorrect) {
-  VisitTracker t(3);
-  for (int round = 0; round < 10000; ++round) {
-    t.reset();
-    EXPECT_TRUE(t.visit(static_cast<Vertex>(round % 3)));
-    EXPECT_EQ(t.num_visited(), 1u);
-  }
 }
 
 /// Where each of `tokens` copies of a walker at `start` lands after one
